@@ -4,7 +4,10 @@ Subcommands: count, series, bivariate, levels, verify, asympt, render.
 Output is byte-stable for fixed flags; JSON payloads follow the schema
 {"sequence": [...decimal strings...], "variable": "z"|"z(half)",
 "t_mode": <track|zero|one|rational>}.  Exit codes: 0 success, 1 failed
-verification, 2 flag errors.
+verification, 2 flag errors (argparse rejects every out-of-range size).
+
+The engine computes over Z and Z[t]; a rational --t-eval is applied
+only here, to the finished marker polynomials.
 """
 
 from __future__ import annotations
@@ -19,6 +22,23 @@ from .rings import TPoly
 
 DEFAULT_ORDER = 16
 ASYMPT_NS = (50, 100, 200, 400, 800, 1600)
+ASYMPT_CAP = 20000  # largest --n; s_20000 has about 13 300 digits
+
+
+def _bounded_int(lo: int, hi=None):
+    """argparse type: an int in [lo, hi] (hi=None: no upper bound)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"{value} is out of range: must be {bound}")
+        return value
+
+    return parse
 
 
 def _parse_t_eval(value: str):
@@ -26,7 +46,7 @@ def _parse_t_eval(value: str):
         return value
     try:
         return Fraction(value)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"--t-eval must be track, zero, one, or a rational, not {value!r}"
         )
@@ -139,12 +159,24 @@ def cmd_verify(args) -> int:
 
 def cmd_asympt(args) -> int:
     ns = args.n or list(ASYMPT_NS)
-    coeffs = holonomic.extend([1, 1, 2, 6], max(ns))
+    coeffs = holonomic.extend([1, 1, 2, 6], max(max(ns), 3))
+    rows = asymptotics.convergence_report(ns, coeffs)
+    # s_n passes CPython's 4300-digit int-to-str limit at n = 6499; --n is
+    # capped at ASYMPT_CAP, so lifting the limit here stays bounded.
+    # Python 3.10 before 3.10.7 has no limit.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        rows = asymptotics.convergence_report(ns, coeffs)
-    except asymptotics.MissingCoefficient as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        _emit_asympt(args, rows)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    return 0
+
+
+def _emit_asympt(args, rows) -> None:
     if args.format == "json":
         payload = [
             {"n": n, "exact": str(s), "estimate": est, "ratio": ratio}
@@ -157,7 +189,6 @@ def cmd_asympt(args) -> int:
         for n, s, est, ratio in rows:
             est_s = f"{est:.6e}" if est is not None else "overflow"
             print(sep.join((str(n), str(s), est_s, f"{ratio:.9f}")))
-    return 0
 
 
 def cmd_render(args) -> int:
@@ -184,12 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, order=True):
         if order:
-            p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order / number of terms")
+            p.add_argument(
+                "--order", type=_bounded_int(1), default=DEFAULT_ORDER, help="truncation order / number of terms"
+            )
         p.add_argument("--format", choices=("json", "text", "tsv"), default="text")
 
     p = sub.add_parser("count", help="paths of a given length and end level")
-    p.add_argument("length", type=int)
-    p.add_argument("level", type=int)
+    p.add_argument("length", type=_bounded_int(0))
+    p.add_argument("level", type=_bounded_int(0))
     p.add_argument("--t-eval", type=_parse_t_eval, default="track")
     common(p, order=False)
     p.set_defaults(fn=cmd_count)
@@ -204,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bivariate)
 
     p = sub.add_parser("levels", help="generating series of paths ending at a level")
-    p.add_argument("level", type=int)
+    p.add_argument("level", type=_bounded_int(0))
     p.add_argument("--t-eval", type=_parse_t_eval, default="track")
     p.add_argument("--half-length", action="store_true")
     common(p)
@@ -215,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("asympt", help="convergence report of exact vs asymptotic counts")
-    p.add_argument("--n", type=int, action="append", help="half-length to report (repeatable)")
+    p.add_argument(
+        "--n",
+        type=_bounded_int(1, ASYMPT_CAP),
+        action="append",
+        help=f"half-length to report, 1..{ASYMPT_CAP} (repeatable)",
+    )
     common(p, order=False)
     p.set_defaults(fn=cmd_asympt)
 

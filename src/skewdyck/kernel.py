@@ -129,9 +129,13 @@ def level_gf(k: int, order: int, mode: GFMode = GFMode.UNIVARIATE) -> ZSeries:
     ring = _ring(mode)
     work = order + k + 4
     ut = kernel_root(work, mode).utilde
-    base = divide(ZSeries.one(work, ring) - ut, _poly([0, 0, 1], work, ring))
-    result = base * ut.inverse() ** k
-    return result.shift(k).truncate(order)
+    keep = order - k  # coefficients of the quotient that survive the shift
+    if keep < 1:
+        return ZSeries.zero(order, ring)
+    base = divide(ZSeries.one(work, ring) - ut, _poly([0, 0, 1], work, ring)).truncate(keep)
+    if k:
+        base = divide(base, ut.truncate(keep) ** k)
+    return base.shift(k)
 
 
 def check_identity_total(order: int, mode: GFMode = GFMode.UNIVARIATE) -> bool:

@@ -1,16 +1,21 @@
 """Exact coefficient rings used by the truncated series engine.
 
-Two rings are supported: the rationals (Fraction-backed, arbitrary
-precision) and dense polynomials in the occurrence marker ``t`` with
-rational coefficients.  Counting results are always integral; rationals
-appear only transiently inside series division and Newton steps.
+Two rings are supported: the integers Z, as plain Python ints, and dense
+polynomials in the occurrence marker ``t`` with integer coefficients,
+Z[t].  The ring objects keep their historical names ``QQ`` and ``QT``.
+
+No rationals are needed.  Every series the engine inverts, and every
+Newton derivative dP/dS at the origin, has constant term +1 or -1,
+which is its own inverse, so inverses and Newton corrections stay
+integral.  Any other divisor must divide exactly, and an inexact
+division is an error.  Rational values of t enter only at the CLI, when
+a finished Z[t] coefficient is evaluated for output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-_SCALARS = (int, Fraction)
+from operator import add
 
 
 class TPoly:
@@ -24,7 +29,7 @@ class TPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, _SCALARS):
+        if isinstance(coeffs, int):
             coeffs = (coeffs,)
         cs = list(coeffs)
         while cs and cs[-1] == 0:
@@ -45,7 +50,7 @@ class TPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, TPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, _SCALARS):
+        if isinstance(other, int):
             return self.coeffs == TPoly(other).coeffs
         return NotImplemented
 
@@ -56,17 +61,19 @@ class TPoly:
         return TPoly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, int):
             other = TPoly(other)
         if not isinstance(other, TPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(tuple(self.coefficient(j) + other.coefficient(j) for j in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return TPoly(tuple(map(add, a, b)) + a[len(b) :])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, int):
             other = TPoly(other)
         if not isinstance(other, TPoly):
             return NotImplemented
@@ -76,7 +83,7 @@ class TPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, int):
             return TPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, TPoly):
             return NotImplemented
@@ -97,15 +104,6 @@ class TPoly:
         for c in reversed(self.coeffs):
             acc = acc * t_value + c
         return acc
-
-    def shifted(self) -> "TPoly":
-        """Multiply by t (used for marked automaton edges)."""
-        if not self.coeffs:
-            return self
-        return TPoly((0,) + self.coeffs)
-
-    def map_coefficients(self, fn) -> "TPoly":
-        return TPoly(tuple(fn(c) for c in self.coeffs))
 
     def __repr__(self) -> str:
         return f"TPoly({list(self.coeffs)!r})"
@@ -129,53 +127,68 @@ class TPoly:
 T = TPoly((0, 1))
 
 
-class RationalRing:
-    """Coefficient ring of exact rationals."""
+def _to_int(x) -> int:
+    """An int, or an integral Fraction converted to one."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise ValueError(f"{x} is not an integer")
+        return x.numerator
+    raise TypeError(f"cannot coerce {x!r} into Z")
 
-    name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
 
-    def coerce(self, x):
-        if isinstance(x, _SCALARS):
-            return x
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
+class IntegerRing:
+    """Coefficient ring of exact integers; the units are +1 and -1."""
 
-    def from_int(self, n: int):
-        return Fraction(n)
+    name = "Z"
+    zero = 0
+    one = 1
+
+    def coerce(self, x) -> int:
+        return _to_int(x)
 
     def is_unit(self, x) -> bool:
-        return x != 0
+        return x == 1 or x == -1
 
-    def inv(self, x):
-        return Fraction(1) / Fraction(x)
+    def inv(self, x) -> int:
+        if not self.is_unit(x):
+            raise ZeroDivisionError(f"{x!r} is not a unit in {self.name}")
+        return x
+
+    def divexact(self, x, d):
+        """x / d if d divides x exactly, else None."""
+        q, r = divmod(x, d)
+        return None if r else q
 
 
 class TPolyRing:
-    """Coefficient ring of marker polynomials with rational coefficients."""
+    """Coefficient ring of marker polynomials with integer coefficients."""
 
-    name = "Q[t]"
+    name = "Z[t]"
     zero = TPoly()
     one = TPoly(1)
 
-    def coerce(self, x):
+    def coerce(self, x) -> TPoly:
         if isinstance(x, TPoly):
-            return x
-        if isinstance(x, _SCALARS):
-            return TPoly(x)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
-    def from_int(self, n: int):
-        return TPoly(n)
+            if all(type(c) is int for c in x.coeffs):
+                return x
+            return TPoly(tuple(_to_int(c) for c in x.coeffs))
+        return TPoly(_to_int(x))
 
     def is_unit(self, x) -> bool:
-        return x.degree == 0 and x.coeffs[0] != 0
+        return x.degree == 0 and x.coeffs[0] in (1, -1)
 
-    def inv(self, x):
+    def inv(self, x) -> TPoly:
         if not self.is_unit(x):
             raise ZeroDivisionError(f"{x!r} is not a unit in {self.name}")
-        return TPoly(Fraction(1) / Fraction(x.coeffs[0]))
+        return x
+
+    def divexact(self, x, d):
+        """x / d if d is +1 or -1, else None: series over Z[t] are only
+        ever divided by a unit constant term."""
+        return x * d if self.is_unit(d) else None
 
 
-QQ = RationalRing()
+QQ = IntegerRing()
 QT = TPolyRing()

@@ -1,4 +1,4 @@
-"""Truncated formal power series in z with exact coefficients.
+"""Truncated formal power series in z with coefficients in Z or Z[t].
 
 A series carries an explicit truncation order N, meaning it is known
 modulo z^N.  Arithmetic never reads beyond the order, and binary
@@ -6,11 +6,22 @@ operations return the minimum of the input orders, so precision loss is
 always visible in the result type.  Algebraic equations P(z, S) = 0 with
 a simple root at the origin are solved by Newton iteration; a slower
 undetermined-coefficients solver is kept as an independent cross-check.
+
+Coefficients stay in Z or Z[t] throughout.  A series can be inverted
+only when its constant term is +1 or -1, and the Newton solver requires
+dP/dS = +1 or -1 at the origin, so every inverse it forms is integral.
+That holds for everything this package solves and divides: dP/dS is 1
+at the origin for the avoidance, marker and kernel cubics, and the
+kernel-method divisors (utilde and its products with utilde - z^2 or
+utilde + (t - 1) z^2) have constant term 1 once powers of z are
+stripped.  Division by any other series is one long-division pass that
+must divide exactly at every step, and raises DivisionByNonUnit
+otherwise.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add, mul
 
 from .rings import QQ, QT, TPoly
 
@@ -49,6 +60,16 @@ class ZSeries:
         self.order = order
         self.ring = ring
 
+    @classmethod
+    def _raw(cls, coeffs: tuple, order: int, ring) -> "ZSeries":
+        """Internal constructor: `coeffs` is a tuple of exactly `order`
+        elements that are already in `ring`."""
+        s = cls.__new__(cls)
+        s.coeffs = coeffs
+        s.order = order
+        s.ring = ring
+        return s
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -77,7 +98,7 @@ class ZSeries:
     def valuation(self):
         """Index of the first nonzero coefficient, or None if zero mod z^N."""
         for i, c in enumerate(self.coeffs):
-            if c != self.ring.zero and c != 0:
+            if c:
                 return i
         return None
 
@@ -109,18 +130,14 @@ class ZSeries:
     # -- ring operations ----------------------------------------------
 
     def __neg__(self):
-        return ZSeries(tuple(-c for c in self.coeffs), self.order, self.ring)
+        return ZSeries._raw(tuple(-c for c in self.coeffs), self.order, self.ring)
 
     def __add__(self, other):
         if not isinstance(other, ZSeries):
             other = ZSeries((other,), self.order, self.ring)
         self._check(other)
         n = min(self.order, other.order)
-        return ZSeries(
-            tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-            n,
-            self.ring,
-        )
+        return ZSeries._raw(tuple(map(add, self.coeffs[:n], other.coeffs[:n])), n, self.ring)
 
     __radd__ = __add__
 
@@ -135,51 +152,40 @@ class ZSeries:
     def __mul__(self, other):
         if not isinstance(other, ZSeries):
             scalar = self.ring.coerce(other)
-            return ZSeries(tuple(c * scalar for c in self.coeffs), self.order, self.ring)
+            return ZSeries._raw(tuple(c * scalar for c in self.coeffs), self.order, self.ring)
         self._check(other)
         n = min(self.order, other.order)
-        zero = self.ring.zero
-        out = [zero] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if a == zero:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != zero:
-                    out[i + j] = out[i + j] + a * b
-        return ZSeries(tuple(out), n, self.ring)
+        b = other.coeffs
+        out = [self.ring.zero] * n
+        for i, a in enumerate(self.coeffs[:n]):
+            if a:
+                for j in range(n - i):
+                    if b[j]:
+                        out[i + j] = out[i + j] + a * b[j]
+        return ZSeries._raw(tuple(out), n, self.ring)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers not supported; use inverse()")
-        result = ZSeries.one(self.order, self.ring)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return ZSeries.one(self.order, self.ring) if result is None else result
 
     def inverse(self) -> "ZSeries":
-        """Multiplicative inverse; requires a unit constant term."""
-        c0 = self.coeffs[0]
-        if not self.ring.is_unit(c0):
-            raise DivisionByNonUnit("constant term is not a unit")
-        inv0 = self.ring.inv(c0)
-        out = [inv0]
-        zero = self.ring.zero
-        for n in range(1, self.order):
-            acc = zero
-            for k in range(1, n + 1):
-                b = self.coeffs[k]
-                if b != zero:
-                    acc = acc + b * out[n - k]
-            out.append(-(inv0 * acc))
-        return ZSeries(tuple(out), self.order, self.ring)
+        """Multiplicative inverse; requires a constant term of +1 or -1."""
+        ring = self.ring
+        if not ring.is_unit(self.coeffs[0]):
+            raise DivisionByNonUnit("constant term is not +1 or -1")
+        one = (ring.one,) + (ring.zero,) * (self.order - 1)
+        return ZSeries._raw(_long_divide(one, self.coeffs, self.order, ring), self.order, ring)
 
     def __truediv__(self, other):
         if not isinstance(other, ZSeries):
@@ -191,54 +197,59 @@ class ZSeries:
     def truncate(self, order: int) -> "ZSeries":
         if order > self.order:
             raise ValueError("cannot extend a series by truncation")
-        return ZSeries(self.coeffs[:order], order, self.ring)
+        return ZSeries._raw(self.coeffs[:order], order, self.ring)
 
     def extend_zero(self, order: int) -> "ZSeries":
         """Pad with zero coefficients (used internally by the solvers)."""
         if order < self.order:
             return self.truncate(order)
-        return ZSeries(self.coeffs, order, self.ring)
+        pad = (self.ring.zero,) * (order - self.order)
+        return ZSeries._raw(self.coeffs + pad, order, self.ring)
 
     def shift(self, k: int) -> "ZSeries":
         """Multiply by z^k; the result is known modulo z^(order + k)."""
         if k < 0:
             raise ValueError("negative shift; use divide() with a z power")
         zero = self.ring.zero
-        return ZSeries((zero,) * k + self.coeffs, self.order + k, self.ring)
+        return ZSeries._raw((zero,) * k + self.coeffs, self.order + k, self.ring)
 
     def differentiate(self) -> "ZSeries":
         """Formal d/dz; truncation order drops by one."""
         if self.order < 2:
             raise ValueError("cannot differentiate below order 2")
         out = tuple(self.coeffs[i] * i for i in range(1, self.order))
-        return ZSeries(out, self.order - 1, self.ring)
+        return ZSeries._raw(out, self.order - 1, self.ring)
 
     def compress_even(self) -> "ZSeries":
         """Substitute z^2 -> z; every odd coefficient must vanish."""
         for i in range(1, self.order, 2):
-            if self.coeffs[i] != self.ring.zero and self.coeffs[i] != 0:
+            if self.coeffs[i]:
                 raise SeriesError(f"odd coefficient z^{i} is nonzero")
         out = self.coeffs[0::2]
-        return ZSeries(out, (self.order + 1) // 2, self.ring)
+        return ZSeries._raw(out, (self.order + 1) // 2, self.ring)
 
     def evaluate_t(self, t_value) -> "ZSeries":
-        """Evaluate marker-polynomial coefficients at a rational t."""
+        """Evaluate marker-polynomial coefficients at an integer t."""
         if self.ring is not QT:
-            raise RingMismatch("evaluate_t requires the Q[t] coefficient ring")
-        t_value = Fraction(t_value)
-        return ZSeries(tuple(c(t_value) for c in self.coeffs), self.order, QQ)
+            raise RingMismatch("evaluate_t requires the Z[t] coefficient ring")
+        t_value = QQ.coerce(t_value)
+        return ZSeries._raw(tuple(c(t_value) for c in self.coeffs), self.order, QQ)
 
     # -- output -------------------------------------------------------
 
     def integer_coefficients(self):
-        """Coefficients as ints (or int-TPolys), asserting integrality."""
-        out = []
+        """Coefficients as a list of ints (or TPolys over the ints).
+
+        A type guard: the engine never leaves Z or Z[t], so anything
+        else here is a bug and raises SeriesError.
+        """
         for c in self.coeffs:
             if isinstance(c, TPoly):
-                out.append(c.map_coefficients(_as_int))
+                for x in c.coeffs:
+                    _as_int(x)
             else:
-                out.append(_as_int(c))
-        return out
+                _as_int(c)
+        return list(self.coeffs)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -246,24 +257,37 @@ class ZSeries:
         return f"ZSeries([{shown}{tail}] mod z^{self.order}, ring={self.ring.name})"
 
 
-def _as_int(c):
-    f = Fraction(c)
-    if f.denominator != 1:
-        raise SeriesError(f"coefficient {c} is not an integer")
-    return f.numerator
+def _as_int(c) -> int:
+    if type(c) is not int:
+        raise SeriesError(f"coefficient {c!r} is not an int")
+    return c
+
+
+def _long_divide(a, b, n: int, ring) -> tuple:
+    """First n coefficients of a / b, for coefficient sequences with
+    b[0] != 0, by one long-division pass.  Each step divides exactly by
+    b[0]; an inexact step raises DivisionByNonUnit."""
+    b0 = b[0]
+    zero = ring.zero
+    q = []
+    for k in range(n):
+        r = a[k] - sum(map(mul, b[1 : k + 1], reversed(q)), zero)
+        qk = ring.divexact(r, b0)
+        if qk is None:
+            raise DivisionByNonUnit(f"{r} is not divisible by {b0} at z^{k}")
+        q.append(qk)
+    return tuple(q)
 
 
 def divide(a: ZSeries, b: ZSeries) -> ZSeries:
     """Exact series division.
 
-    Either b has a unit constant term, or a and b share the valuation of
-    b, in which case the common z power is stripped from both before the
-    ordinary division (the order drops by that valuation).
+    If b has valuation v > 0, a must vanish below z^v too, and the
+    common z power is stripped from both first (the order drops by v).
+    The quotient must then be exact in the coefficient ring at every
+    step; it always is when the constant term of b is +1 or -1.
     """
     a._check(b)
-    if b.ring.is_unit(b.coeffs[0]):
-        n = min(a.order, b.order)
-        return a.truncate(n) * b.truncate(n).inverse()
     v = b.valuation()
     if v is None:
         raise DivisionByNonUnit("division by the zero series")
@@ -273,11 +297,7 @@ def divide(a: ZSeries, b: ZSeries) -> ZSeries:
     n = min(a.order, b.order) - v
     if n < 1:
         raise DivisionByNonUnit("no coefficients left after valuation stripping")
-    a2 = ZSeries(a.coeffs[v:], n, a.ring)
-    b2 = ZSeries(b.coeffs[v:], n, b.ring)
-    if not b2.ring.is_unit(b2.coeffs[0]):
-        raise DivisionByNonUnit("denominator not a unit after valuation stripping")
-    return a2 * b2.inverse()
+    return ZSeries._raw(_long_divide(a.coeffs[v:], b.coeffs[v:], n, a.ring), n, a.ring)
 
 
 class AlgEquation:
@@ -338,18 +358,25 @@ def _check_simple_root(eq: AlgEquation, s0):
         if i + 1 <= eq.degree:
             deriv = deriv + eq._constant(i + 1) * power * (i + 1)
         power = power * s0
-    if value != ring.zero and value != 0:
+    if value:
         raise NotARoot(f"P(0, {s0!r}) = {value!r} != 0")
     if not ring.is_unit(deriv):
-        raise SingularRoot(f"dP/dS(0, {s0!r}) = {deriv!r} is not a unit")
+        raise SingularRoot(f"dP/dS(0, {s0!r}) = {deriv!r} is not +1 or -1")
 
 
 def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling") -> ZSeries:
     """Unique series root with constant term s0, by Newton iteration.
 
-    The root must be simple at the origin.  schedule="doubling" doubles
-    the working order each step; schedule="linear" raises it by one, and
-    both must produce identical coefficients.
+    The root must be simple at the origin, with dP/dS(0, s0) = +1 or -1.
+    schedule="doubling" doubles the working order each step;
+    schedule="linear" raises it by one, and both must produce identical
+    coefficients.
+
+    A step from order k to order T pads s with zeros to order T.  The
+    residual P(s) then vanishes below z^k, so the correction
+    -P(s) / P'(s) is z^k times a series needed only mod z^(T-k): P'(s)
+    and its inverse are formed at that half precision, and only the top
+    T-k residual coefficients are multiplied (Brent and Kung, 1978).
     """
     if schedule not in ("doubling", "linear"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -357,13 +384,15 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
     s0 = ring.coerce(s0)
     _check_simple_root(eq, s0)
     deq = eq.derivative()
-    s = ZSeries((s0,), 1, ring)
+    s = ZSeries._raw((s0,), 1, ring)
     while s.order < order:
-        target = min(2 * s.order, order) if schedule == "doubling" else s.order + 1
+        k = s.order
+        target = min(2 * k, order) if schedule == "doubling" else k + 1
+        h = target - k
         s = s.extend_zero(target)
-        num = eq.apply(s)
-        den = deq.apply(s)
-        s = s - num * den.inverse()
+        top = ZSeries._raw(eq.apply(s).coeffs[k:], h, ring)
+        step = top * deq.apply(s.truncate(h)).inverse()
+        s = ZSeries._raw(s.coeffs[:k] + tuple(-c for c in step.coeffs), target, ring)
     return s
 
 

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from skewdyck.cli import run
+from skewdyck import holonomic
+from skewdyck.cli import ASYMPT_CAP, run
 
 
 @pytest.fixture
@@ -111,6 +113,31 @@ class TestAsympt:
         assert 0.8 < payload[0]["ratio"] < 1.2
 
 
+    def test_past_the_int_to_str_digit_limit(self, capout):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        before = get_limit() if get_limit else None
+        code, out, _ = capout("asympt", "--n", "7000")
+        assert code == 0
+        assert (get_limit() if get_limit else None) == before  # lifted inside the command only
+        exact = out.splitlines()[1].split()[1]
+        want = holonomic.extend([1, 1, 2, 6], 7000)[7000]
+        if get_limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert exact == str(want)
+        finally:
+            if get_limit:
+                sys.set_int_max_str_digits(before)
+
+    def test_smallest_n(self, capout):
+        code, out, _ = capout("asympt", "--n", "1", "--n", "2")
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()[1:]] == ["1", "2"]
+
+    def test_cap_admitted(self):
+        assert ASYMPT_CAP >= 13100
+
+
 class TestRender:
     def test_stdout_svg(self, capout):
         code, out, _ = capout("render", "UUDR")
@@ -140,3 +167,30 @@ class TestFlagErrors:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--order", "0"],
+        ["series", "--order", "-3", "--half-length"],
+        ["bivariate", "--order", "0"],
+        ["levels", "-1"],
+        ["levels", "2", "--order", "0"],
+        ["count", "-1", "0"],
+        ["count", "4", "-1"],
+        ["count", "4", "0", "--t-eval", "1/0"],
+        ["verify", "--order", "0"],
+        ["asympt", "--n", "0"],
+        ["asympt", "--n", str(10**9)],
+        ["asympt", "--n", str(ASYMPT_CAP + 1)],
+        ["series", "--order", "ten"],
+    ],
+)
+def test_out_of_range_sizes_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err

@@ -16,6 +16,7 @@ from skewdyck.series import (
     DivisionByNonUnit,
     NotARoot,
     RingMismatch,
+    SeriesError,
     SingularRoot,
     ZSeries,
     divide,
@@ -209,3 +210,62 @@ class TestShapeOps:
         e = s.evaluate_t(1)
         assert e.coeffs == (2, 2)
         assert e.ring is QQ
+
+
+class TestIntegerRings:
+    def test_coerce_integral_fraction_to_int(self):
+        assert type(QQ.coerce(Fraction(4, 2))) is int
+        assert QQ.coerce(Fraction(4, 2)) == 2
+        assert QT.coerce(TPoly([Fraction(6, 3), 5])).coeffs == (2, 5)
+        assert all(type(c) is int for c in QT.coerce(TPoly([Fraction(6, 3), 5])).coeffs)
+
+    def test_coerce_rejects_non_integral(self):
+        with pytest.raises(ValueError):
+            QQ.coerce(Fraction(1, 2))
+        with pytest.raises(ValueError):
+            QT.coerce(TPoly([1, Fraction(1, 2)]))
+        with pytest.raises(ValueError):
+            ZSeries([1, Fraction(1, 3)], 2, QQ)
+
+    def test_units_are_plus_minus_one(self):
+        assert QQ.is_unit(1) and QQ.is_unit(-1)
+        assert not QQ.is_unit(2) and not QQ.is_unit(0)
+        assert QQ.inv(-1) == -1
+        assert QT.inv(TPoly(-1)) == TPoly(-1)
+        assert not QT.is_unit(TPoly([1, 1]))
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(2)
+
+    def test_inverse_needs_unit_constant(self):
+        with pytest.raises(DivisionByNonUnit):
+            poly(2, 1).inverse()
+        inv = poly(-1, 1).inverse()
+        assert inv.coeffs == (-1,) * 8
+        assert all(type(c) is int for c in inv.coeffs)
+
+    def test_exact_division_by_non_unit(self):
+        assert divide(poly(3, 6, 9), poly(3)).coeffs == (1, 2, 3, 0, 0, 0, 0, 0)
+        with pytest.raises(DivisionByNonUnit):
+            divide(poly(1), poly(2))
+
+    def test_evaluate_t_integer_only(self):
+        s = ZSeries.from_poly([TPoly([1, 1]), TPoly([0, 2])], 2, QT)
+        assert s.evaluate_t(2).coeffs == (3, 4)
+        with pytest.raises(ValueError):
+            s.evaluate_t(Fraction(1, 2))
+
+    def test_integer_coefficients_is_a_type_guard(self):
+        bad = ZSeries._raw((1, Fraction(1, 2)), 2, QQ)
+        with pytest.raises(SeriesError):
+            bad.integer_coefficients()
+
+    def test_newton_rejects_non_unit_derivative(self):
+        eq = AlgEquation([[0, -1], [2]], QQ)  # 2 S - z: S = z/2 is not integral
+        with pytest.raises(SingularRoot):
+            solve_algebraic(eq, 0, 4)
+
+    def test_half_precision_newton_matches_linear_schedule(self):
+        from skewdyck.kernel import GFMode, kernel_equation
+
+        eq = kernel_equation(GFMode.BIVARIATE)
+        assert solve_algebraic(eq, 1, 40).coeffs == solve_algebraic(eq, 1, 40, schedule="linear").coeffs
