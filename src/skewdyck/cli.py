@@ -22,7 +22,7 @@ from .rings import TPoly
 
 DEFAULT_ORDER = 16
 ASYMPT_NS = (50, 100, 200, 400, 800, 1600)
-ASYMPT_CAP = 20000  # largest --n; s_20000 has about 13 300 digits
+ASYMPT_CAP = 20000  # largest --n; s_20000 has 13 245 digits
 
 
 def _bounded_int(lo: int, hi=None):

@@ -127,11 +127,11 @@ def level_gf(k: int, order: int, mode: GFMode = GFMode.UNIVARIATE) -> ZSeries:
     if k < 0:
         raise ValueError("level must be nonnegative")
     ring = _ring(mode)
-    work = order + k + 4
-    ut = kernel_root(work, mode).utilde
     keep = order - k  # coefficients of the quotient that survive the shift
     if keep < 1:
         return ZSeries.zero(order, ring)
+    work = order + k + 4
+    ut = kernel_root(work, mode).utilde
     base = divide(ZSeries.one(work, ring) - ut, _poly([0, 0, 1], work, ring)).truncate(keep)
     if k:
         base = divide(base, ut.truncate(keep) ** k)

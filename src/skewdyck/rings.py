@@ -171,9 +171,7 @@ class TPolyRing:
 
     def coerce(self, x) -> TPoly:
         if isinstance(x, TPoly):
-            if all(type(c) is int for c in x.coeffs):
-                return x
-            return TPoly(tuple(_to_int(c) for c in x.coeffs))
+            return TPoly(tuple(map(_to_int, x.coeffs)))
         return TPoly(_to_int(x))
 
     def is_unit(self, x) -> bool:

@@ -93,6 +93,11 @@ class TestLevelGF:
         assert gf.coeffs[1] == 1
         assert gf.coeffs[0] == 0
 
+    def test_level_beyond_order_is_zero(self):
+        # valuation >= k, so nothing survives; no kernel root is solved
+        assert level_gf(10**6, 5, GFMode.BIVARIATE).is_zero()
+        assert level_gf(5, 5).coeffs == (0,) * 5
+
     def test_level2_track_matches_dp(self):
         gf = level_gf(2, 7, GFMode.BIVARIATE)
         assert gf.coeffs[6] == count(6, 2, Mode.TRACK)
