@@ -7,12 +7,12 @@ singularity-analysis asymptotics) are cross-verified against each other
 and against vendored golden values.
 """
 
-from .automaton import Layer, Mode, count, layer_series
+from .automaton import Layer, count, layer_series
 from .cubics import avoidance_series, marker_series
 from .kernel import GFMode, boundary_constants, kernel_root, level_gf
 from .paths import SkewPath, Step, enumerate_paths, render_svg, validate
 from .rings import QQ, QT, TPoly
-from .series import AlgEquation, ZSeries, residual, solve_algebraic
+from .series import AlgEquation, ZSeries, solve_algebraic
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "AlgEquation",
     "GFMode",
     "Layer",
-    "Mode",
     "QQ",
     "QT",
     "SkewPath",
@@ -36,7 +35,6 @@ __all__ = [
     "level_gf",
     "marker_series",
     "render_svg",
-    "residual",
     "solve_algebraic",
     "validate",
 ]

@@ -8,7 +8,11 @@ down-red pattern and carries the marker t; there is no up edge out of K
 and no red edge out of F, which encodes the two forbidden factors.
 
 Weights are marker polynomials with arbitrary-precision integer
-coefficients; counts leave 64-bit range well before length 60.
+coefficients; counts leave 64-bit range well before length 60.  The
+automaton always tracks t: the count with the pattern forbidden is the
+marker polynomial at t = 0 and the count ignoring it is its value at
+t = 1, so callers specialise a finished count instead of running a
+separate forbidding or totalling automaton.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Tuple
 
-from .rings import QT, TPoly
+from .rings import QT, T, TPoly
 from .series import ZSeries
 
 
@@ -27,15 +31,8 @@ class Layer(enum.Enum):
     K = "K"
 
 
-class Mode(enum.Enum):
-    TRACK = "track"    # full marker polynomial
-    FORBID = "forbid"  # coefficient of t^0 (pattern avoided)
-    TOTAL = "total"    # evaluation at t=1 (pattern ignored)
-
-
 StateVector = Dict[Tuple[Layer, int], TPoly]
 
-_T = TPoly((0, 1))
 _ONE = TPoly(1)
 
 
@@ -43,7 +40,7 @@ def initial_state() -> StateVector:
     return {(Layer.F, 0): _ONE}
 
 
-def step(state: StateVector, red_mark: TPoly = _T) -> StateVector:
+def step(state: StateVector, red_mark: TPoly = T) -> StateVector:
     """One automaton step.  red_mark is the weight of the G -> K edge;
     the default marks it with t, and the zero polynomial deletes it."""
     new: StateVector = {}
@@ -74,29 +71,28 @@ def step(state: StateVector, red_mark: TPoly = _T) -> StateVector:
     return new
 
 
-def run(length: int, red_mark: TPoly = _T) -> StateVector:
+def run(length: int, red_mark: TPoly = T) -> StateVector:
     state = initial_state()
     for _ in range(length):
         state = step(state, red_mark)
     return state
 
 
-def count(length: int, end_level: int, mode: Mode = Mode.TRACK):
-    """Weight of all paths of the given length ending at end_level,
-    summed over layers.  TRACK returns the marker polynomial, FORBID its
-    constant coefficient, TOTAL its value at t=1 (both as ints)."""
+def by_level(state: StateVector) -> Dict[int, TPoly]:
+    """The weights of a state summed over its layers, keyed by level."""
+    out: Dict[int, TPoly] = {}
+    for (_, level), w in state.items():
+        out[level] = out[level] + w if level in out else w
+    return out
+
+
+def count(length: int, end_level: int) -> TPoly:
+    """Marker polynomial of all paths of the given length ending at
+    end_level; evaluate it at t = 0 for the pattern forbidden and at
+    t = 1 for the pattern ignored."""
     if length < 0 or end_level < 0:
         raise ValueError("length and end level must be nonnegative")
-    state = run(length)
-    total = TPoly()
-    for (layer, level), w in state.items():
-        if level == end_level:
-            total = total + w
-    if mode is Mode.TRACK:
-        return total
-    if mode is Mode.FORBID:
-        return total.coefficient(0)
-    return total(1)
+    return by_level(run(length)).get(end_level, TPoly())
 
 
 def layer_series(layer: Layer, level: int, order: int) -> ZSeries:

@@ -4,7 +4,8 @@ Subcommands: count, series, bivariate, levels, verify, asympt, render.
 Output is byte-stable for fixed flags; JSON payloads follow the schema
 {"sequence": [...decimal strings...], "variable": "z"|"z(half)",
 "t_mode": <track|zero|one|rational>}.  Exit codes: 0 success, 1 failed
-verification, 2 flag errors (argparse rejects every out-of-range size).
+verification, 2 flag errors (argparse rejects every out-of-range size,
+and every size has an upper cap below).
 
 The engine computes over Z and Z[t]; a rational --t-eval is applied
 only here, to the finished marker polynomials.
@@ -13,6 +14,7 @@ only here, to the finished marker polynomials.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -23,6 +25,15 @@ from .rings import TPoly
 DEFAULT_ORDER = 16
 ASYMPT_NS = (50, 100, 200, 400, 800, 1600)
 ASYMPT_CAP = 20000  # largest --n; s_20000 has 13 245 digits
+# Upper caps on the other sizes, chosen from timings: at most about 13 s
+# of work at any cap on a 2-core Xeon guest (README lists them).
+SERIES_CAP = 2000  # series --order
+BIVARIATE_CAP = 250  # bivariate --order
+LEVELS_CAP = 300  # levels --order and the level
+COUNT_CAP = 600  # count length and level
+UNIT_PX_CAP = 1000  # render --unit-px
+T_EVAL_DIGITS = 30  # digits of a rational --t-eval's numerator and denominator
+T_NAMED = {"zero": 0, "one": 1}
 
 
 def _bounded_int(lo: int, hi=None):
@@ -42,14 +53,21 @@ def _bounded_int(lo: int, hi=None):
 
 
 def _parse_t_eval(value: str):
-    if value in ("track", "zero", "one"):
+    if value == "track" or value in T_NAMED:
         return value
     try:
-        return Fraction(value)
+        if "e" in value.lower():  # an exponent would make the value unbounded
+            raise ValueError
+        t = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"--t-eval must be track, zero, one, or a rational, not {value!r}"
         )
+    if max(abs(t.numerator), t.denominator) >= 10**T_EVAL_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"--t-eval {value}: numerator and denominator must have at most {T_EVAL_DIGITS} digits"
+        )
+    return t
 
 
 def _coeff_str(c) -> str:
@@ -80,11 +98,7 @@ def _t_mode_name(t_eval) -> str:
 def _eval_tpoly(poly: TPoly, t_eval):
     if t_eval == "track":
         return poly
-    if t_eval == "zero":
-        return poly.coefficient(0)
-    if t_eval == "one":
-        return poly(1)
-    return poly(t_eval)
+    return poly(T_NAMED.get(t_eval, t_eval))
 
 
 def cmd_count(args) -> int:
@@ -125,6 +139,9 @@ def cmd_bivariate(args) -> int:
 
 
 def cmd_levels(args) -> int:
+    if args.half_length and args.level % 2 != 0:
+        print("--half-length requires an even level", file=sys.stderr)
+        return 2
     mode = kernel.GFMode.UNIVARIATE if args.t_eval == "zero" else kernel.GFMode.BIVARIATE
     gf = kernel.level_gf(args.level, args.order, mode)
     if mode is kernel.GFMode.BIVARIATE:
@@ -132,9 +149,6 @@ def cmd_levels(args) -> int:
     else:
         coeffs = gf.integer_coefficients()
     if args.half_length:
-        if args.level % 2 != 0:
-            print("--half-length requires an even level", file=sys.stderr)
-            return 2
         coeffs = coeffs[0::2]
     variable = "z(half)" if args.half_length else "z"
     _emit_sequence(args, coeffs, variable, _t_mode_name(args.t_eval))
@@ -142,15 +156,18 @@ def cmd_levels(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    depth = min(args.order, paths.ORACLE_CAP)
-    results = verify.run_all(oracle_depth=depth)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        detail = f"  ({r.detail})" if r.detail else ""
-        print(f"{status} {r.name}{detail}")
-        if not r.ok:
-            failed += 1
+    results = verify.run_all(oracle_depth=args.order)
+    if args.format == "json":
+        print(json.dumps([dataclasses.asdict(r) for r in results]))
+    else:
+        for r in results:
+            status = "PASS" if r.ok else "FAIL"
+            if args.format == "tsv":
+                print(f"{status}\t{r.name}\t{r.detail}")
+            else:
+                detail = f"  ({r.detail})" if r.detail else ""
+                print(f"{status} {r.name}{detail}")
+    failed = sum(not r.ok for r in results)
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return 1
@@ -199,8 +216,12 @@ def cmd_render(args) -> int:
         return 2
     svg = paths.render_svg(path, unit_px=args.unit_px)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            print(f"cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(svg)
     return 0
@@ -213,38 +234,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=True):
-        if order:
+    def common(p, order_cap=None, order_help="truncation order / number of terms"):
+        if order_cap is not None:
             p.add_argument(
-                "--order", type=_bounded_int(1), default=DEFAULT_ORDER, help="truncation order / number of terms"
+                "--order",
+                type=_bounded_int(1, order_cap),
+                default=DEFAULT_ORDER,
+                help=f"{order_help}, 1..{order_cap}",
             )
         p.add_argument("--format", choices=("json", "text", "tsv"), default="text")
 
     p = sub.add_parser("count", help="paths of a given length and end level")
-    p.add_argument("length", type=_bounded_int(0))
-    p.add_argument("level", type=_bounded_int(0))
+    p.add_argument("length", type=_bounded_int(0, COUNT_CAP), help=f"0..{COUNT_CAP}")
+    p.add_argument("level", type=_bounded_int(0, COUNT_CAP), help=f"0..{COUNT_CAP}")
     p.add_argument("--t-eval", type=_parse_t_eval, default="track")
-    common(p, order=False)
+    common(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("series", help="avoidance series at level 0")
-    common(p)
+    common(p, SERIES_CAP)
     p.add_argument("--half-length", action="store_true")
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("bivariate", help="marker triangle rows at half-length")
-    common(p)
+    common(p, BIVARIATE_CAP)
     p.set_defaults(fn=cmd_bivariate)
 
     p = sub.add_parser("levels", help="generating series of paths ending at a level")
-    p.add_argument("level", type=_bounded_int(0))
+    p.add_argument("level", type=_bounded_int(0, LEVELS_CAP), help=f"0..{LEVELS_CAP}")
     p.add_argument("--t-eval", type=_parse_t_eval, default="track")
     p.add_argument("--half-length", action="store_true")
-    common(p)
+    common(p, LEVELS_CAP)
     p.set_defaults(fn=cmd_levels)
 
     p = sub.add_parser("verify", help="run the full cross-check suite")
-    common(p)
+    common(p, paths.ORACLE_CAP, "brute-force oracle depth")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("asympt", help="convergence report of exact vs asymptotic counts")
@@ -254,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help=f"half-length to report, 1..{ASYMPT_CAP} (repeatable)",
     )
-    common(p, order=False)
+    common(p)
     p.set_defaults(fn=cmd_asympt)
 
     p = sub.add_parser("render", help="render a path word (letters U, D, R) as SVG")
     p.add_argument("word")
-    p.add_argument("--unit-px", type=int, default=24)
+    p.add_argument("--unit-px", type=_bounded_int(1, UNIT_PX_CAP), default=24, help=f"1..{UNIT_PX_CAP}")
     p.add_argument("-o", "--output", default=None)
-    common(p, order=False)
+    common(p)
     p.set_defaults(fn=cmd_render)
 
     return parser

@@ -1,43 +1,37 @@
 """The algebraic equations satisfied by the half-length series.
 
 S(z) counts paths by half-length with the pattern forbidden (A128729);
-R(z, t) refines it by the marker (A128728).  The transformed cubic in U
-is the same object reached through the substitution chain from the
-kernel root, with Z standing for z^2; the half-length series must
-satisfy it as well.
+R(z, t) refines it by the marker (A128728).  Only the marker cubic is
+written out; the avoidance cubic is derived from it at t = 0, not
+transcribed a second time.  The transformed cubic in U is the same
+object reached through the substitution chain from the kernel root,
+with Z standing for z^2; the half-length series must satisfy it as
+well.
 """
 
 from __future__ import annotations
 
-from .rings import QQ, QT, TPoly
+from .rings import QQ, QT, T
 from .series import AlgEquation, ZSeries, solve_algebraic
-
-
-def avoidance_cubic() -> AlgEquation:
-    """z^2 S^3 - z(2 - z) S^2 + (1 - z^2) S - 1 + z + z^2 = 0."""
-    return AlgEquation(
-        [
-            [-1, 1, 1],
-            [1, 0, -1],
-            [0, -2, 1],
-            [0, 0, 1],
-        ],
-        QQ,
-    )
 
 
 def marker_cubic() -> AlgEquation:
     """z^2 R^3 - z(2 - z) R^2 + (1 - z^2) R - 1 + z + (1 - t) z^2 = 0."""
-    t = TPoly((0, 1))
     return AlgEquation(
         [
-            [-1, 1, 1 - t],
-            [TPoly(1), 0, -1],
+            [-1, 1, 1 - T],
+            [1, 0, -1],
             [0, -2, 1],
             [0, 0, 1],
         ],
         QT,
     )
+
+
+def avoidance_cubic() -> AlgEquation:
+    """z^2 S^3 - z(2 - z) S^2 + (1 - z^2) S - 1 + z + z^2 = 0: the marker
+    cubic at t = 0."""
+    return marker_cubic().evaluate_t(0)
 
 
 def transformed_cubic() -> AlgEquation:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .rings import QQ
 from .series import ZSeries
 
 
@@ -83,10 +82,6 @@ def recurrence_residual(seq: Sequence[int]) -> List[int]:
     ]
 
 
-def _zpoly(coeffs, order):
-    return ZSeries.from_poly(coeffs, order, QQ)
-
-
 def ode_residual(s: ZSeries) -> ZSeries:
     """Apply the 2nd-order operator to a series and return the residual.
 
@@ -104,11 +99,11 @@ def ode_residual(s: ZSeries) -> ZSeries:
     if s.order < 5:
         raise ValueError("series order must be at least 5")
     n = s.order
-    two_z_minus_1 = _zpoly([-1, 2], n)
-    a0 = _zpoly([-8, 31], n)
-    a1 = _zpoly([0, -15], n)
-    b1 = -(two_z_minus_1 * _zpoly([8, -48, 15, 44], n))
-    b2 = -(_zpoly([0, -4, 16, 11], n) * two_z_minus_1 * two_z_minus_1)
+    two_z_minus_1 = ZSeries([-1, 2], n)
+    a0 = ZSeries([-8, 31], n)
+    a1 = ZSeries([0, -15], n)
+    b1 = -(two_z_minus_1 * ZSeries([8, -48, 15, 44], n))
+    b2 = -(ZSeries([0, -4, 16, 11], n) * two_z_minus_1 * two_z_minus_1)
     ds = s.differentiate()
     dds = ds.differentiate()
     return a0 + a1 * s + b1 * ds + b2 * dds

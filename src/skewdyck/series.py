@@ -73,10 +73,6 @@ class ZSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_poly(cls, coeffs, order, ring=QQ):
-        return cls(list(coeffs), order, ring)
-
-    @classmethod
     def zero(cls, order, ring=QQ):
         return cls((), order, ring)
 
@@ -318,7 +314,7 @@ class AlgEquation:
         return len(self.coeff_polys) - 1
 
     def coefficient_series(self, i: int, order: int) -> ZSeries:
-        return ZSeries.from_poly(self.coeff_polys[i], order, self.ring)
+        return ZSeries(self.coeff_polys[i], order, self.ring)
 
     def apply(self, s: ZSeries) -> ZSeries:
         """Residual sum_i c_i(z) s^i, truncated at s.order (Horner in S)."""
@@ -338,13 +334,17 @@ class AlgEquation:
         ]
         return AlgEquation(polys, self.ring)
 
+    def evaluate_t(self, t_value) -> "AlgEquation":
+        """Evaluate marker-polynomial coefficients at an integer t; the
+        equation-level twin of ZSeries.evaluate_t."""
+        if self.ring is not QT:
+            raise RingMismatch("evaluate_t requires the Z[t] coefficient ring")
+        t_value = QQ.coerce(t_value)
+        return AlgEquation([[c(t_value) for c in p] for p in self.coeff_polys], QQ)
+
     def _constant(self, i: int):
         p = self.coeff_polys[i]
         return p[0] if p else self.ring.zero
-
-
-def residual(eq: AlgEquation, s: ZSeries) -> ZSeries:
-    return eq.apply(s)
 
 
 def _check_simple_root(eq: AlgEquation, s0):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from . import asymptotics, automaton, cubics, golden, holonomic, kernel, paths
-from .rings import QT, TPoly
-from .series import ZSeries
+from .rings import TPoly
 
 
 @dataclass(frozen=True)
@@ -34,16 +33,15 @@ def _histogram_poly(counter) -> TPoly:
 
 def check_dp_vs_oracle(depth: int = 14) -> CheckResult:
     """Automaton marker polynomials equal brute-force histograms for all
-    lengths up to `depth` and all end levels."""
+    lengths up to `depth` and all end levels, in one walk."""
     depth = min(depth, paths.ORACLE_CAP)
     hist = paths.udr_profile(depth)
+    state = automaton.initial_state()
     for m in range(depth + 1):
-        state = automaton.run(m)
-        by_level = {}
-        for (layer, level), w in state.items():
-            by_level[level] = by_level.get(level, TPoly()) + w
+        if m:
+            state = automaton.step(state)
         expected = {lvl: _histogram_poly(c) for lvl, c in hist[m].items()}
-        if {k: v for k, v in by_level.items() if v} != {k: v for k, v in expected.items() if v}:
+        if automaton.by_level(state) != {k: v for k, v in expected.items() if v}:
             return CheckResult("dp-vs-oracle", False, f"mismatch at length {m}")
     return CheckResult("dp-vs-oracle", True, f"all lengths <= {depth}")
 
@@ -84,17 +82,21 @@ def check_bivariate_vs_golden() -> CheckResult:
 
 
 def check_level_gfs(max_level: int = 6, depth: int = 16) -> CheckResult:
-    """Kernel-method level series against the automaton, marker-tracked
-    and with the pattern forbidden."""
-    for k in range(max_level + 1):
-        gf = kernel.level_gf(k, depth + 1, kernel.GFMode.BIVARIATE)
-        for m in range(depth + 1):
-            want = automaton.count(m, k, automaton.Mode.TRACK)
-            if gf.coefficient(m) != want:
+    """Kernel-method level series against one walk of the automaton,
+    marker-tracked and with the pattern forbidden (t = 0)."""
+    levels = range(max_level + 1)
+    track = [kernel.level_gf(k, depth + 1, kernel.GFMode.BIVARIATE) for k in levels]
+    forbid = [kernel.level_gf(k, depth + 1, kernel.GFMode.UNIVARIATE) for k in levels]
+    state = automaton.initial_state()
+    for m in range(depth + 1):
+        if m:
+            state = automaton.step(state)
+        by_level = automaton.by_level(state)
+        for k in levels:
+            want = by_level.get(k, TPoly())
+            if track[k].coefficient(m) != want:
                 return CheckResult("level-gf-vs-dp", False, f"k={k} m={m}")
-        forb = kernel.level_gf(k, depth + 1, kernel.GFMode.UNIVARIATE)
-        for m in range(depth + 1):
-            if forb.coefficient(m) != automaton.count(m, k, automaton.Mode.FORBID):
+            if forbid[k].coefficient(m) != want(0):
                 return CheckResult("level-gf-vs-dp", False, f"forbid k={k} m={m}")
     return CheckResult("level-gf-vs-dp", True, f"k <= {max_level}, m <= {depth}")
 

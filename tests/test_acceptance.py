@@ -14,7 +14,6 @@ from skewdyck.holonomic import extend, ode_residual
 from skewdyck.kernel import GFMode, kernel_residual, kernel_root, level_gf
 from skewdyck.paths import udr_profile
 from skewdyck.rings import TPoly
-from skewdyck.series import residual
 
 
 def report(num, name):
@@ -67,7 +66,6 @@ def test_03_oracle_equivalence_to_length_20():
 
 def test_04_theorem_equivalence_levels():
     for mode in (GFMode.BIVARIATE, GFMode.UNIVARIATE):
-        dp_mode = automaton.Mode.TRACK if mode is GFMode.BIVARIATE else automaton.Mode.FORBID
         gfs = [level_gf(k, 25, mode) for k in range(7)]
         state = automaton.initial_state()
         for m in range(25):
@@ -77,7 +75,7 @@ def test_04_theorem_equivalence_levels():
             for k in range(7):
                 got = gfs[k].coeffs[m]
                 dp = by_level.get(k, TPoly())
-                if dp_mode is automaton.Mode.FORBID:
+                if mode is GFMode.UNIVARIATE:
                     assert got == dp.coefficient(0), (mode, k, m)
                 else:
                     assert got == dp, (mode, k, m)
@@ -105,7 +103,7 @@ def test_06_holonomic_consistency():
 
 def test_07_transformation_chain():
     s = avoidance_series(30)
-    assert residual(transformed_cubic(), s).is_zero()
+    assert transformed_cubic().apply(s).is_zero()
     report(7, "half-length series satisfies the transformed cubic to order 30")
 
 

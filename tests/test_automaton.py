@@ -1,7 +1,7 @@
 import pytest
 
 from skewdyck import automaton
-from skewdyck.automaton import Layer, Mode, count, initial_state, layer_series, run, step
+from skewdyck.automaton import Layer, count, initial_state, layer_series, run, step
 from skewdyck.paths import enumerate_paths
 from skewdyck.rings import TPoly
 
@@ -28,20 +28,20 @@ class TestStep:
 
 class TestCount:
     def test_forbid_length8(self):
-        assert count(8, 0, Mode.FORBID) == 20
+        assert count(8, 0)(0) == 20
 
     def test_track_length10(self):
-        assert count(10, 0, Mode.TRACK) == TPoly([71, 64, 2])
+        assert count(10, 0) == TPoly([71, 64, 2])
 
     def test_total_length12(self):
-        assert count(12, 0, Mode.TOTAL) == 543
+        assert count(12, 0)(1) == 543
 
     def test_odd_length_returns_zero(self):
-        assert count(1, 0, Mode.TOTAL) == 0
+        assert count(1, 0)(1) == 0
 
     @pytest.mark.parametrize("m,k", [(3, 0), (4, 1), (5, 2), (6, 9)])
     def test_parity_and_height(self, m, k):
-        assert count(m, k, Mode.TRACK) == TPoly()
+        assert count(m, k) == TPoly()
 
     def test_oracle_equivalence_small(self):
         for m in range(11):
@@ -53,7 +53,7 @@ class TestCount:
                 coeffs = [0] * (max(counter) + 1)
                 for j, c in counter.items():
                     coeffs[j] = c
-                assert count(m, k, Mode.TRACK) == TPoly(coeffs), (m, k)
+                assert count(m, k) == TPoly(coeffs), (m, k)
 
     def test_forbid_equals_dp_with_edge_deleted(self):
         for m in range(13):
@@ -65,7 +65,18 @@ class TestCount:
                     (w for (lyr, lvl), w in state.items() if lvl == k), TPoly()
                 )
                 assert direct.degree <= 0
-                assert direct.coefficient(0) == count(m, k, Mode.FORBID), (m, k)
+                assert direct.coefficient(0) == count(m, k)(0), (m, k)
+
+
+class TestByLevel:
+    def test_sums_layers(self):
+        state = {(Layer.G, 1): TPoly([1]), (Layer.K, 1): TPoly([0, 2]), (Layer.F, 3): TPoly([4])}
+        assert automaton.by_level(state) == {1: TPoly([1, 2]), 3: TPoly([4])}
+
+    def test_agrees_with_count(self):
+        levels = automaton.by_level(run(12))
+        for k in range(13):
+            assert levels.get(k, TPoly()) == count(12, k), k
 
 
 class TestLayerSeries:

@@ -1,10 +1,24 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewdyck import holonomic
-from skewdyck.cli import ASYMPT_CAP, run
+from skewdyck.cli import (
+    ASYMPT_CAP,
+    BIVARIATE_CAP,
+    COUNT_CAP,
+    LEVELS_CAP,
+    SERIES_CAP,
+    T_EVAL_DIGITS,
+    UNIT_PX_CAP,
+    build_parser,
+    run,
+)
+from skewdyck.paths import ORACLE_CAP
 
 
 @pytest.fixture
@@ -97,6 +111,21 @@ class TestVerify:
         assert len(lines) == 12
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_json_format(self, capout):
+        code, out, _ = capout("verify", "--order", "8", "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == 12
+        assert all(set(r) == {"name", "ok", "detail"} and r["ok"] is True for r in records)
+        assert records[0] == {"name": "dp-vs-oracle", "ok": True, "detail": "all lengths <= 8"}
+
+    def test_tsv_format(self, capout):
+        _, out, _ = capout("verify", "--order", "8", "--format", "tsv")
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert len(rows) == 12
+        assert rows[0] == ["PASS", "dp-vs-oracle", "all lengths <= 8"]
+        assert rows[2] == ["PASS", "kernel-root-display", ""]
+
 
 class TestAsympt:
     def test_table(self, capout):
@@ -151,6 +180,13 @@ class TestRender:
         assert code == 0
         assert target.read_text().startswith("<?xml")
 
+    def test_unwritable_output_exits_2(self, capout, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = capout("render", "UUDD", "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err and "Traceback" not in err
+
     def test_invalid_word(self, capout):
         code, _, err = capout("render", "UR")
         assert code == 2
@@ -185,6 +221,20 @@ class TestFlagErrors:
         ["asympt", "--n", str(10**9)],
         ["asympt", "--n", str(ASYMPT_CAP + 1)],
         ["series", "--order", "ten"],
+        ["series", "--order", str(SERIES_CAP + 1)],
+        ["series", "--order", str(SERIES_CAP + 1), "--half-length"],
+        ["bivariate", "--order", str(BIVARIATE_CAP + 1)],
+        ["levels", "2", "--order", str(LEVELS_CAP + 1)],
+        ["levels", str(LEVELS_CAP + 1)],
+        ["count", str(COUNT_CAP + 1), "0"],
+        ["count", "4", str(COUNT_CAP + 1)],
+        ["verify", "--order", str(ORACLE_CAP + 1)],
+        ["verify", "--order", "30"],
+        ["render", "UD", "--unit-px", str(UNIT_PX_CAP + 1)],
+        ["render", "UD", "--unit-px", "0"],
+        ["render", "UD", "--unit-px", "-3"],
+        ["count", "4", "0", "--t-eval", "1e99999999"],
+        ["count", "4", "0", "--t-eval", "1/" + "9" * (T_EVAL_DIGITS + 1)],
     ],
 )
 def test_out_of_range_sizes_exit_2(argv, capsys):
@@ -194,3 +244,60 @@ def test_out_of_range_sizes_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+AT_CAP = {
+    "series-order": ["series", "--order", str(SERIES_CAP)],
+    "series-half-length-order": ["series", "--order", str(SERIES_CAP), "--half-length"],
+    "bivariate-order": ["bivariate", "--order", str(BIVARIATE_CAP)],
+    "levels-order": ["levels", "2", "--order", str(LEVELS_CAP)],
+    "levels-level": ["levels", str(LEVELS_CAP)],
+    "count-length": ["count", str(COUNT_CAP), "0"],
+    "count-level": ["count", "4", str(COUNT_CAP)],
+    "verify-order": ["verify", "--order", str(ORACLE_CAP)],
+    "asympt-n": ["asympt", "--n", str(ASYMPT_CAP)],
+    "render-unit-px": ["render", "UD", "--unit-px", str(UNIT_PX_CAP)],
+    "t-eval-digits": ["count", "4", "0", "--t-eval", "9" * T_EVAL_DIGITS + "/7"],
+}
+
+
+@pytest.mark.parametrize("argv", AT_CAP.values(), ids=AT_CAP.keys())
+def test_size_at_cap_passes_validation(argv):
+    """Parsing only: the work at a cap takes seconds.  Each cap + 1 is in
+    test_out_of_range_sizes_exit_2."""
+    assert build_parser().parse_args(argv).fn is not None
+
+
+def test_caps_admit_the_benchmark_sizes():
+    assert SERIES_CAP >= 303 and ORACLE_CAP >= 18
+
+
+# Tokens for the argv fuzz.  The junk alphabet has no "o" and no "/", so a
+# generated argv can never name an output file (-o, --output).
+_INTS = st.integers(min_value=-3, max_value=8).map(str) | st.sampled_from(
+    [str(c + 1) for c in (SERIES_CAP, BIVARIATE_CAP, LEVELS_CAP, COUNT_CAP, ORACLE_CAP, ASYMPT_CAP, UNIT_PX_CAP)]
+    + [str(10**12), "-" + str(10**12)]
+)
+_WORDS = st.sampled_from(
+    ["--order", "--format", "--t-eval", "--half-length", "--n", "--unit-px", "-h",
+     "json", "tsv", "text", "track", "zero", "one", "1/2", "-3/4", "1/0", "0.5", "1e999999",
+     "UUDR", "UDUD", "UR", "", "--", "-"]
+)
+_JUNK = st.text(alphabet="UDRabc019-=., ", max_size=5)
+_ARGV = st.tuples(
+    st.sampled_from(["count", "series", "bivariate", "levels", "verify", "asympt", "render", "frob"]),
+    st.lists(st.one_of(_INTS, _WORDS, _JUNK), max_size=5),
+).map(lambda parts: [parts[0], *parts[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_ARGV)
+def test_argv_fuzz_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from skewdyck import golden
-from skewdyck.automaton import Mode, count
-from skewdyck.cubics import avoidance_series, marker_series, transformed_cubic
+from skewdyck.automaton import count
+from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_series, transformed_cubic
 from skewdyck.kernel import (
     GFMode,
     KernelRoot,
@@ -16,7 +16,7 @@ from skewdyck.kernel import (
     level_gf,
 )
 from skewdyck.rings import QQ, TPoly
-from skewdyck.series import ZSeries, residual
+from skewdyck.series import ZSeries
 
 
 class TestKernelRoot:
@@ -48,8 +48,33 @@ class TestKernelRoot:
 
     def test_perturbed_root_fails_residual(self):
         root = kernel_root(16, GFMode.UNIVARIATE)
-        bumped = root.utilde + ZSeries.from_poly([0] * 5 + [1], 16, QQ)
+        bumped = root.utilde + ZSeries([0] * 5 + [1], 16, QQ)
         assert not kernel_equation(GFMode.UNIVARIATE).apply(bumped).is_zero()
+
+
+class TestDerivedAtTZero:
+    """The t = 0 equations are derived from the Z[t] ones; the literals
+    below are the only transcription of them left."""
+
+    @pytest.mark.parametrize(
+        "derived,literal",
+        [
+            (
+                avoidance_cubic,
+                [[-1, 1, 1], [1, 0, -1], [0, -2, 1], [0, 0, 1]],
+            ),
+            (
+                lambda: kernel_equation(GFMode.UNIVARIATE),
+                [[0, 0, 0, 0, 0, 0, -1], [0, 0, 2, 0, -1], [-1, 0, -1], [1]],
+            ),
+        ],
+        ids=["avoidance-cubic", "univariate-kernel"],
+    )
+    def test_matches_transcribed_literal(self, derived, literal):
+        eq = derived()
+        assert eq.ring is QQ
+        assert eq.coeff_polys == tuple(tuple(p) for p in literal)
+        assert all(type(c) is int for p in eq.coeff_polys for c in p)
 
 
 class TestBoundaryConstants:
@@ -100,15 +125,15 @@ class TestLevelGF:
 
     def test_level2_track_matches_dp(self):
         gf = level_gf(2, 7, GFMode.BIVARIATE)
-        assert gf.coeffs[6] == count(6, 2, Mode.TRACK)
+        assert gf.coeffs[6] == count(6, 2)
 
     def test_dp_equivalence_small(self):
         for k in range(4):
             gf = level_gf(k, 13, GFMode.BIVARIATE)
             forb = level_gf(k, 13, GFMode.UNIVARIATE)
             for m in range(13):
-                assert gf.coeffs[m] == count(m, k, Mode.TRACK), (k, m)
-                assert forb.coeffs[m] == count(m, k, Mode.FORBID), (k, m)
+                assert gf.coeffs[m] == count(m, k), (k, m)
+                assert forb.coeffs[m] == count(m, k)(0), (k, m)
 
 
 class TestIdentities:
@@ -128,11 +153,11 @@ class TestIdentities:
 
     def test_transformation_chain(self):
         compressed = level_gf(0, 40, GFMode.UNIVARIATE).compress_even()
-        assert residual(transformed_cubic(), compressed).is_zero()
+        assert transformed_cubic().apply(compressed).is_zero()
 
     def test_cancellation_div_example(self):
         ut = kernel_root(12, GFMode.UNIVARIATE).utilde
         from skewdyck.series import divide
 
-        out = divide(ZSeries.one(12) - ut, ZSeries.from_poly([0, 0, 1], 12, QQ))
+        out = divide(ZSeries.one(12) - ut, ZSeries([0, 0, 1], 12, QQ))
         assert out.coeffs[:6] == (1, 0, 1, 0, 2, 0)

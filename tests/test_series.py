@@ -20,18 +20,17 @@ from skewdyck.series import (
     SingularRoot,
     ZSeries,
     divide,
-    residual,
     solve_algebraic,
     solve_undetermined,
 )
 
 
 def poly(*coeffs, order=8, ring=QQ):
-    return ZSeries.from_poly(coeffs, order, ring)
+    return ZSeries(coeffs, order, ring)
 
 
 small_series = st.builds(
-    lambda cs: ZSeries.from_poly(cs, 8, QQ),
+    lambda cs: ZSeries(cs, 8, QQ),
     st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=8),
 )
 
@@ -162,18 +161,32 @@ class TestSolver:
             assert r.degree <= n
 
 
+class TestEquationEvaluateT:
+    def test_marker_cubic_at_t1(self):
+        # at t = 1 the z^2 term of the constant coefficient cancels
+        assert marker_cubic().evaluate_t(1).coeff_polys[0] == (-1, 1, 0)
+
+    def test_commutes_with_solving(self):
+        at2 = solve_algebraic(marker_cubic().evaluate_t(2), 1, 12)
+        assert at2.coeffs == marker_series(12).evaluate_t(2).coeffs
+
+    def test_requires_marker_ring(self):
+        with pytest.raises(RingMismatch):
+            avoidance_cubic().evaluate_t(0)
+
+
 class TestResidual:
     def test_solver_output_residual_zero(self):
         eq = avoidance_cubic()
-        assert residual(eq, solve_algebraic(eq, 1, 20)).is_zero()
+        assert eq.apply(solve_algebraic(eq, 1, 20)).is_zero()
 
     def test_constant_one_not_a_solution(self):
-        r = residual(avoidance_cubic(), ZSeries.one(4))
+        r = avoidance_cubic().apply(ZSeries.one(4))
         # direct substitution: -z + 2 z^2 + 0 z^3
         assert r.coeffs == (0, Fraction(-1), Fraction(2), 0)
 
     def test_transformed_cubic(self):
-        assert residual(transformed_cubic(), avoidance_series(30)).is_zero()
+        assert transformed_cubic().apply(avoidance_series(30)).is_zero()
 
 
 class TestSerialization:
@@ -206,7 +219,7 @@ class TestShapeOps:
         assert s.coeffs == (0, 0, 1, 2, 0)
 
     def test_evaluate_t(self):
-        s = ZSeries.from_poly([TPoly([1, 1]), TPoly([0, 2])], 2, QT)
+        s = ZSeries([TPoly([1, 1]), TPoly([0, 2])], 2, QT)
         e = s.evaluate_t(1)
         assert e.coeffs == (2, 2)
         assert e.ring is QQ
@@ -249,7 +262,7 @@ class TestIntegerRings:
             divide(poly(1), poly(2))
 
     def test_evaluate_t_integer_only(self):
-        s = ZSeries.from_poly([TPoly([1, 1]), TPoly([0, 2])], 2, QT)
+        s = ZSeries([TPoly([1, 1]), TPoly([0, 2])], 2, QT)
         assert s.evaluate_t(2).coeffs == (3, 4)
         with pytest.raises(ValueError):
             s.evaluate_t(Fraction(1, 2))
