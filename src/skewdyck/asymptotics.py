@@ -38,19 +38,17 @@ def _cubic(z: float, s: float) -> float:
     return z * z * s**3 - z * (2 - z) * s * s + (1 - z * z) * s - 1 + z + z * z
 
 
-def dominant_singularity_numeric(lo: float = 0.1, hi: float = 0.3) -> float:
-    """z0 by bisection: the S-derivative of the cubic vanishes along
-    S = (z + 1)/(3 z), and z0 is where the cubic itself vanishes there."""
+def dominant_singularity_numeric() -> float:
+    """z0 by bisection on [0.1, 0.3]: the S-derivative of the cubic
+    vanishes along S = (z + 1)/(3 z), and z0 is where the cubic itself
+    vanishes there."""
 
     def g(z: float) -> float:
         return _cubic(z, (z + 1.0) / (3.0 * z))
 
-    flo, fhi = g(lo), g(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    lo, hi = 0.1, 0.3
+    flo = g(lo)
+    if flo * g(hi) > 0:
         raise ValueError("no sign change on the bisection bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -40,9 +40,8 @@ def initial_state() -> StateVector:
     return {(Layer.F, 0): _ONE}
 
 
-def step(state: StateVector, red_mark: TPoly = T) -> StateVector:
-    """One automaton step.  red_mark is the weight of the G -> K edge;
-    the default marks it with t, and the zero polynomial deletes it."""
+def step(state: StateVector) -> StateVector:
+    """One automaton step; the G -> K edge carries the marker t."""
     new: StateVector = {}
 
     def add(layer, level, weight):
@@ -63,18 +62,16 @@ def step(state: StateVector, red_mark: TPoly = T) -> StateVector:
             else:
                 add(Layer.H, level - 1, w)
             if layer is Layer.G:
-                marked = w * red_mark
-                if marked:
-                    add(Layer.K, level - 1, marked)
+                add(Layer.K, level - 1, w * T)
             elif layer in (Layer.H, Layer.K):
                 add(Layer.K, level - 1, w)
     return new
 
 
-def run(length: int, red_mark: TPoly = T) -> StateVector:
+def run(length: int) -> StateVector:
     state = initial_state()
     for _ in range(length):
-        state = step(state, red_mark)
+        state = step(state)
     return state
 
 

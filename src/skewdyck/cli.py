@@ -36,17 +36,16 @@ T_EVAL_DIGITS = 30  # digits of a rational --t-eval's numerator and denominator
 T_NAMED = {"zero": 0, "one": 1}
 
 
-def _bounded_int(lo: int, hi=None):
-    """argparse type: an int in [lo, hi] (hi=None: no upper bound)."""
+def _bounded_int(lo: int, hi: int):
+    """argparse type: an int in [lo, hi]."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < lo or (hi is not None and value > hi):
-            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
-            raise argparse.ArgumentTypeError(f"{value} is out of range: must be {bound}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is out of range: must be between {lo} and {hi}")
         return value
 
     return parse
@@ -78,17 +77,20 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-def _emit_sequence(args, coeffs, variable: str, t_mode: str) -> None:
+def _emit(args, payload, rows, text_line) -> None:
+    """Print `payload` as JSON, or one line per row of string cells: the
+    cells joined by a tab (tsv) or laid out by `text_line` (text)."""
     if args.format == "json":
-        payload = {
-            "sequence": [_coeff_str(c) for c in coeffs],
-            "variable": variable,
-            "t_mode": t_mode,
-        }
         print(json.dumps(payload))
-    else:
-        sep = "\t" if args.format == "tsv" else " "
-        print(sep.join(_coeff_str(c) for c in coeffs))
+        return
+    line = "\t".join if args.format == "tsv" else text_line
+    for row in rows:
+        print(line(row))
+
+
+def _emit_sequence(args, coeffs, variable: str, t_mode: str) -> None:
+    cells = [_coeff_str(c) for c in coeffs]
+    _emit(args, {"sequence": cells, "variable": variable, "t_mode": t_mode}, [cells], " ".join)
 
 
 def _t_mode_name(t_eval) -> str:
@@ -102,11 +104,8 @@ def _eval_tpoly(poly: TPoly, t_eval):
 
 
 def cmd_count(args) -> int:
-    result = _eval_tpoly(automaton.count(args.length, args.level), args.t_eval)
-    if args.format == "json":
-        print(json.dumps({"count": _coeff_str(result), "t_mode": _t_mode_name(args.t_eval)}))
-    else:
-        print(_coeff_str(result))
+    result = _coeff_str(_eval_tpoly(automaton.count(args.length, args.level), args.t_eval))
+    _emit(args, {"count": result, "t_mode": _t_mode_name(args.t_eval)}, [[result]], " ".join)
     return 0
 
 
@@ -122,19 +121,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_bivariate(args) -> int:
-    rows = cubics.marker_series(args.order).integer_coefficients()
-    if args.format == "json":
-        payload = {
-            "sequence": [[str(x) for x in (r.coeffs or (0,))] for r in rows],
-            "variable": "z(half)",
-            "t_mode": "track",
-        }
-        print(json.dumps(payload))
-    else:
-        sep = "\t" if args.format == "tsv" else " "
-        for n, row in enumerate(rows):
-            cells = sep.join(str(x) for x in (row.coeffs or (0,)))
-            print(f"{n}:{sep}{cells}")
+    series = cubics.marker_series(args.order).integer_coefficients()
+    rows = [[str(x) for x in (r.coeffs or (0,))] for r in series]
+    payload = {"sequence": rows, "variable": "z(half)", "t_mode": "track"}
+    _emit(args, payload, [[f"{n}:", *row] for n, row in enumerate(rows)], " ".join)
     return 0
 
 
@@ -155,18 +145,15 @@ def cmd_levels(args) -> int:
     return 0
 
 
+def _verify_text_line(row) -> str:
+    status, name, detail = row
+    return f"{status} {name}  ({detail})" if detail else f"{status} {name}"
+
+
 def cmd_verify(args) -> int:
     results = verify.run_all(oracle_depth=args.order)
-    if args.format == "json":
-        print(json.dumps([dataclasses.asdict(r) for r in results]))
-    else:
-        for r in results:
-            status = "PASS" if r.ok else "FAIL"
-            if args.format == "tsv":
-                print(f"{status}\t{r.name}\t{r.detail}")
-            else:
-                detail = f"  ({r.detail})" if r.detail else ""
-                print(f"{status} {r.name}{detail}")
+    rows = [("PASS" if r.ok else "FAIL", r.name, r.detail) for r in results]
+    _emit(args, [dataclasses.asdict(r) for r in results], rows, _verify_text_line)
     failed = sum(not r.ok for r in results)
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
@@ -194,18 +181,13 @@ def cmd_asympt(args) -> int:
 
 
 def _emit_asympt(args, rows) -> None:
-    if args.format == "json":
-        payload = [
-            {"n": n, "exact": str(s), "estimate": est, "ratio": ratio}
-            for n, s, est, ratio in rows
-        ]
-        print(json.dumps(payload))
-    else:
-        sep = "\t" if args.format == "tsv" else "  "
-        print(sep.join(("n", "exact", "estimate", "ratio")))
-        for n, s, est, ratio in rows:
-            est_s = f"{est:.6e}" if est is not None else "overflow"
-            print(sep.join((str(n), str(s), est_s, f"{ratio:.9f}")))
+    rows = [(n, str(s), est, ratio) for n, s, est, ratio in rows]
+    payload = [{"n": n, "exact": s, "estimate": est, "ratio": ratio} for n, s, est, ratio in rows]
+    lines = [("n", "exact", "estimate", "ratio")] + [
+        (str(n), s, "overflow" if est is None else f"{est:.6e}", f"{ratio:.9f}")
+        for n, s, est, ratio in rows
+    ]
+    _emit(args, payload, lines, "  ".join)
 
 
 def cmd_render(args) -> int:

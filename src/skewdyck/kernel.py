@@ -26,7 +26,6 @@ has a z power in front.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .rings import QT, T
 from .series import AlgEquation, ZSeries, divide, solve_algebraic
@@ -35,12 +34,6 @@ from .series import AlgEquation, ZSeries, divide, solve_algebraic
 class GFMode(enum.Enum):
     UNIVARIATE = "univariate"  # t = 0: the pattern forbidden, over Z
     BIVARIATE = "bivariate"  # occurrences marked by t, over Z[t]
-
-
-@dataclass(frozen=True)
-class KernelRoot:
-    utilde: ZSeries
-    mode: GFMode
 
 
 def kernel_equation(mode: GFMode) -> AlgEquation:
@@ -57,16 +50,11 @@ def kernel_equation(mode: GFMode) -> AlgEquation:
     return eq.evaluate_t(0) if mode is GFMode.UNIVARIATE else eq
 
 
-def kernel_root(order: int, mode: GFMode = GFMode.UNIVARIATE) -> KernelRoot:
+def kernel_root(order: int, mode: GFMode = GFMode.UNIVARIATE) -> ZSeries:
+    """utilde modulo z^order, the root of the kernel cubic with constant term 1."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    utilde = solve_algebraic(kernel_equation(mode), 1, order)
-    return KernelRoot(utilde, mode)
-
-
-def kernel_residual(root: KernelRoot) -> ZSeries:
-    """Residual of utilde in the cleared kernel; zero modulo z^order."""
-    return kernel_equation(root.mode).apply(root.utilde)
+    return solve_algebraic(kernel_equation(mode), 1, order)
 
 
 def boundary_constants(order: int, mode: GFMode = GFMode.UNIVARIATE):
@@ -82,8 +70,8 @@ def boundary_constants(order: int, mode: GFMode = GFMode.UNIVARIATE):
     has a unit constant term, so the divisions are plain series
     divisions.
     """
-    work = order + 4  # headroom for the valuation-2 numerators
-    ut = kernel_root(work, mode).utilde
+    work = max(order, 2)  # kernel_root needs order >= 2
+    ut = kernel_root(work, mode)
     t = 0 if mode is GFMode.UNIVARIATE else T
     z2 = ZSeries([0, 0, 1], work, ut.ring)
     num = 1 - z2 - ut  # valuation 2
@@ -110,7 +98,7 @@ def level_gf(k: int, order: int, mode: GFMode = GFMode.UNIVARIATE) -> ZSeries:
     keep = order - k  # coefficients of the quotient that survive the shift
     if keep < 1:
         return ZSeries.zero(order, kernel_equation(mode).ring)
-    ut = kernel_root(keep + 2, mode).utilde
+    ut = kernel_root(keep + 2, mode)
     base = divide(1 - ut, ZSeries([0, 0, 1], keep + 2, ut.ring))
     if k:
         base = divide(base, ut.truncate(keep) ** k)

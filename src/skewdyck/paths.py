@@ -154,7 +154,6 @@ def enumerate_paths(
     length: int,
     end_level: Optional[int] = None,
     forbid_udr: bool = False,
-    cap: int = ORACLE_CAP,
 ) -> Iterator[SkewPath]:
     """Yield every valid path of exactly `length` steps, in lexicographic
     step order (Up < DownBlack < DownRed).
@@ -163,8 +162,8 @@ def enumerate_paths(
     tree of valid words, not the full 3^length cube.  An unreachable end
     level yields nothing.
     """
-    if length > cap:
-        raise CapExceeded(f"length {length} exceeds oracle cap {cap}")
+    if length > ORACLE_CAP:
+        raise CapExceeded(f"length {length} exceeds oracle cap {ORACLE_CAP}")
     if length < 0:
         raise ValueError("length must be nonnegative")
 
@@ -208,7 +207,7 @@ def enumerate_paths(
     yield from walk(0)
 
 
-def udr_profile(max_length: int, cap: int = ORACLE_CAP):
+def udr_profile(max_length: int):
     """Brute-force pattern histograms for every length up to max_length.
 
     Returns hist with hist[m][level][j] = number of valid words of
@@ -216,8 +215,8 @@ def udr_profile(max_length: int, cap: int = ORACLE_CAP):
     single walk over the prefix tree of valid words covers all lengths
     at once; every prefix of a valid word is itself valid.
     """
-    if max_length > cap:
-        raise CapExceeded(f"length {max_length} exceeds oracle cap {cap}")
+    if max_length > ORACLE_CAP:
+        raise CapExceeded(f"length {max_length} exceeds oracle cap {ORACLE_CAP}")
     hist: list[dict[int, dict[int, int]]] = [dict() for _ in range(max_length + 1)]
     hist[0][0] = {0: 1}
 
@@ -251,15 +250,12 @@ _RED = "#cc0022"
 _BLACK = "#000000"
 
 
-def render_svg(path: SkewPath, unit_px: int = 24, color_map=None) -> str:
+def render_svg(path: SkewPath, unit_px: int = 24) -> str:
     """Standalone SVG 1.1 drawing, one segment per step.
 
     Up is drawn as (+1,+1); both down steps as (+1,-1), the red one in
     the red stroke.  Output is byte-stable for fixed inputs.
     """
-    colors = {"up": _BLACK, "down_black": _BLACK, "down_red": _RED}
-    if color_map:
-        colors.update(color_map)
     margin = unit_px
     top = max(path.levels) if path.levels else 0
     width = len(path) * unit_px + 2 * margin
@@ -279,12 +275,11 @@ def render_svg(path: SkewPath, unit_px: int = 24, color_map=None) -> str:
         f'<line x1="{x(0)}" y1="{y(0)}" x2="{x(len(path))}" y2="{y(0)}" '
         f'stroke="#bbbbbb" stroke-dasharray="4 4" stroke-width="1"/>',
     ]
-    key = {Step.UP: "up", Step.DOWN_BLACK: "down_black", Step.DOWN_RED: "down_red"}
     for i, step in enumerate(path.steps):
         lines.append(
             f'<line x1="{x(i)}" y1="{y(path.levels[i])}" '
             f'x2="{x(i + 1)}" y2="{y(path.levels[i + 1])}" '
-            f'stroke="{colors[key[step]]}" stroke-width="2" '
+            f'stroke="{_RED if step is Step.DOWN_RED else _BLACK}" stroke-width="2" '
             f'stroke-linecap="round"/>'
         )
     lines.append("</svg>")

@@ -151,11 +151,6 @@ class IntegerRing:
     def is_unit(self, x) -> bool:
         return x == 1 or x == -1
 
-    def inv(self, x) -> int:
-        if not self.is_unit(x):
-            raise ZeroDivisionError(f"{x!r} is not a unit in {self.name}")
-        return x
-
     def divexact(self, x, d):
         """x / d if d divides x exactly, else None."""
         q, r = divmod(x, d)
@@ -176,11 +171,6 @@ class TPolyRing:
 
     def is_unit(self, x) -> bool:
         return x.degree == 0 and x.coeffs[0] in (1, -1)
-
-    def inv(self, x) -> TPoly:
-        if not self.is_unit(x):
-            raise ZeroDivisionError(f"{x!r} is not a unit in {self.name}")
-        return x
 
     def divexact(self, x, d):
         """x / d if d is +1 or -1, else None: series over Z[t] are only

@@ -80,10 +80,6 @@ class ZSeries:
     def one(cls, order, ring=QQ):
         return cls((ring.one,), order, ring)
 
-    @classmethod
-    def z(cls, order, ring=QQ):
-        return cls((ring.zero, ring.one), order, ring)
-
     # -- basics -------------------------------------------------------
 
     def coefficient(self, m: int):
@@ -183,24 +179,12 @@ class ZSeries:
         one = (ring.one,) + (ring.zero,) * (self.order - 1)
         return ZSeries._raw(_long_divide(one, self.coeffs, self.order, ring), self.order, ring)
 
-    def __truediv__(self, other):
-        if not isinstance(other, ZSeries):
-            other = ZSeries((other,), self.order, self.ring)
-        return divide(self, other)
-
     # -- shape operations ---------------------------------------------
 
     def truncate(self, order: int) -> "ZSeries":
         if order > self.order:
             raise ValueError("cannot extend a series by truncation")
         return ZSeries._raw(self.coeffs[:order], order, self.ring)
-
-    def extend_zero(self, order: int) -> "ZSeries":
-        """Pad with zero coefficients (used internally by the solvers)."""
-        if order < self.order:
-            return self.truncate(order)
-        pad = (self.ring.zero,) * (order - self.order)
-        return ZSeries._raw(self.coeffs + pad, order, self.ring)
 
     def shift(self, k: int) -> "ZSeries":
         """Multiply by z^k; the result is known modulo z^(order + k)."""
@@ -342,26 +326,18 @@ class AlgEquation:
         t_value = QQ.coerce(t_value)
         return AlgEquation([[c(t_value) for c in p] for p in self.coeff_polys], QQ)
 
-    def _constant(self, i: int):
-        p = self.coeff_polys[i]
-        return p[0] if p else self.ring.zero
-
 
 def _check_simple_root(eq: AlgEquation, s0):
-    ring = eq.ring
-    value = ring.zero
-    deriv = ring.zero
-    power = ring.one
-    for i in range(eq.degree + 1):
-        c = eq._constant(i)
-        value = value + c * power
-        if i + 1 <= eq.degree:
-            deriv = deriv + eq._constant(i + 1) * power * (i + 1)
-        power = power * s0
+    """dP/dS(0, s0), after checking that P(0, s0) = 0 and that dP/dS(0, s0)
+    is +1 or -1."""
+    at_origin = ZSeries._raw((s0,), 1, eq.ring)
+    value = eq.apply(at_origin).coeffs[0]
     if value:
         raise NotARoot(f"P(0, {s0!r}) = {value!r} != 0")
-    if not ring.is_unit(deriv):
+    deriv = eq.derivative().apply(at_origin).coeffs[0] if eq.degree else eq.ring.zero
+    if not eq.ring.is_unit(deriv):
         raise SingularRoot(f"dP/dS(0, {s0!r}) = {deriv!r} is not +1 or -1")
+    return deriv
 
 
 def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling") -> ZSeries:
@@ -389,7 +365,7 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
         k = s.order
         target = min(2 * k, order) if schedule == "doubling" else k + 1
         h = target - k
-        s = s.extend_zero(target)
+        s = ZSeries._raw(s.coeffs + (ring.zero,) * h, target, ring)
         top = ZSeries._raw(eq.apply(s).coeffs[k:], h, ring)
         step = top * deq.apply(s.truncate(h)).inverse()
         s = ZSeries._raw(s.coeffs[:k] + tuple(-c for c in step.coeffs), target, ring)
@@ -404,16 +380,10 @@ def solve_undetermined(eq: AlgEquation, s0, order: int) -> ZSeries:
     """
     ring = eq.ring
     s0 = ring.coerce(s0)
-    _check_simple_root(eq, s0)
-    d0 = ring.zero
-    power = ring.one
-    for i in range(1, eq.degree + 1):
-        d0 = d0 + eq._constant(i) * power * i
-        power = power * s0
-    inv_d0 = ring.inv(d0)
+    d0 = _check_simple_root(eq, s0)  # +1 or -1, so its own inverse
     coeffs = [s0]
     for n in range(1, order):
         probe = ZSeries(tuple(coeffs) + (ring.zero,), n + 1, ring)
         r = eq.apply(probe).coeffs[n]
-        coeffs.append(-(inv_d0 * r))
+        coeffs.append(-(d0 * r))
     return ZSeries(tuple(coeffs), order, ring)

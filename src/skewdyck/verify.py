@@ -31,10 +31,9 @@ def _histogram_poly(counter) -> TPoly:
     return TPoly(coeffs)
 
 
-def check_dp_vs_oracle(depth: int = 14) -> CheckResult:
+def check_dp_vs_oracle(depth: int) -> CheckResult:
     """Automaton marker polynomials equal brute-force histograms for all
     lengths up to `depth` and all end levels, in one walk."""
-    depth = min(depth, paths.ORACLE_CAP)
     hist = paths.udr_profile(depth)
     state = automaton.initial_state()
     for m in range(depth + 1):
@@ -48,15 +47,15 @@ def check_dp_vs_oracle(depth: int = 14) -> CheckResult:
 
 def check_kernel_residual(order: int = 64) -> CheckResult:
     for mode in kernel.GFMode:
-        root = kernel.kernel_root(order, mode)
-        if not kernel.kernel_residual(root).is_zero():
+        utilde = kernel.kernel_root(order, mode)
+        if not kernel.kernel_equation(mode).apply(utilde).is_zero():
             return CheckResult("kernel-residual", False, f"nonzero residual in {mode.value} mode")
     return CheckResult("kernel-residual", True, f"both modes, mod z^{order}")
 
 
 def check_kernel_root_display() -> CheckResult:
     want = golden.utilde_display()
-    got = kernel.kernel_root(len(want), kernel.GFMode.UNIVARIATE).utilde.integer_coefficients()
+    got = kernel.kernel_root(len(want), kernel.GFMode.UNIVARIATE).integer_coefficients()
     ok = got == want
     return CheckResult("kernel-root-display", ok, "" if ok else f"got {got}")
 
@@ -158,7 +157,7 @@ def check_asymptotics(n_top: int = 1600) -> CheckResult:
     return CheckResult("asymptotics", True, f"ratio(1000)={ratio_1000:.6f}")
 
 
-CHECKS: List[Callable[[], CheckResult]] = [
+CHECKS: List[Callable[..., CheckResult]] = [
     check_dp_vs_oracle,
     check_kernel_residual,
     check_kernel_root_display,
@@ -174,7 +173,7 @@ CHECKS: List[Callable[[], CheckResult]] = [
 ]
 
 
-def run_all(oracle_depth: int = 14) -> List[CheckResult]:
+def run_all(oracle_depth: int) -> List[CheckResult]:
     results = []
     for fn in CHECKS:
         if fn is check_dp_vs_oracle:

@@ -55,17 +55,11 @@ class TestCount:
                     coeffs[j] = c
                 assert count(m, k) == TPoly(coeffs), (m, k)
 
-    def test_forbid_equals_dp_with_edge_deleted(self):
+    def test_forbid_equals_oracle_with_pattern_forbidden(self):
         for m in range(13):
-            state = initial_state()
-            for _ in range(m):
-                state = step(state, red_mark=TPoly())
             for k in range(m + 1):
-                direct = sum(
-                    (w for (lyr, lvl), w in state.items() if lvl == k), TPoly()
-                )
-                assert direct.degree <= 0
-                assert direct.coefficient(0) == count(m, k)(0), (m, k)
+                oracle = len(list(enumerate_paths(m, end_level=k, forbid_udr=True)))
+                assert count(m, k)(0) == oracle, (m, k)
 
 
 class TestByLevel:

@@ -7,11 +7,9 @@ from skewdyck.automaton import count
 from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_series, transformed_cubic
 from skewdyck.kernel import (
     GFMode,
-    KernelRoot,
     boundary_constants,
     check_identity_total,
     kernel_equation,
-    kernel_residual,
     kernel_root,
     level_gf,
 )
@@ -21,25 +19,25 @@ from skewdyck.series import ZSeries
 
 class TestKernelRoot:
     def test_univariate_display(self):
-        root = kernel_root(16, GFMode.UNIVARIATE)
+        utilde = kernel_root(16, GFMode.UNIVARIATE)
         want = golden.utilde_display()
-        assert root.utilde.integer_coefficients()[: len(want)] == want
+        assert utilde.integer_coefficients()[: len(want)] == want
 
     def test_residual_vanishes_both_modes(self):
         for mode in GFMode:
-            assert kernel_residual(kernel_root(32, mode)).is_zero()
+            assert kernel_equation(mode).apply(kernel_root(32, mode)).is_zero()
 
     def test_bivariate_at_t0_equals_univariate(self):
-        uni = kernel_root(20, GFMode.UNIVARIATE).utilde
-        biv = kernel_root(20, GFMode.BIVARIATE).utilde.evaluate_t(0)
+        uni = kernel_root(20, GFMode.UNIVARIATE)
+        biv = kernel_root(20, GFMode.BIVARIATE).evaluate_t(0)
         assert biv.coeffs == uni.coeffs
 
     def test_bivariate_t_term_enters_at_z6(self):
-        biv = kernel_root(10, GFMode.BIVARIATE).utilde
+        biv = kernel_root(10, GFMode.BIVARIATE)
         assert biv.coeffs[6] == TPoly([-2, -1])  # so (1 - utilde)/z^2 carries (2 + t) z^4
 
     def test_bivariate_at_t1_satisfies_t1_kernel(self):
-        biv = kernel_root(16, GFMode.BIVARIATE).utilde.evaluate_t(1)
+        biv = kernel_root(16, GFMode.BIVARIATE).evaluate_t(1)
         # at t=1 the constant term of the cubic vanishes entirely
         from skewdyck.series import AlgEquation
 
@@ -47,8 +45,7 @@ class TestKernelRoot:
         assert eq.apply(biv).is_zero()
 
     def test_perturbed_root_fails_residual(self):
-        root = kernel_root(16, GFMode.UNIVARIATE)
-        bumped = root.utilde + ZSeries([0] * 5 + [1], 16, QQ)
+        bumped = kernel_root(16, GFMode.UNIVARIATE) + ZSeries([0] * 5 + [1], 16, QQ)
         assert not kernel_equation(GFMode.UNIVARIATE).apply(bumped).is_zero()
 
 
@@ -106,6 +103,14 @@ class TestBoundaryConstants:
         for name in ("g0", "h0", "k0"):
             assert all(x >= 0 for x in c[name].integer_coefficients()), name
 
+    @pytest.mark.parametrize("mode", list(GFMode))
+    def test_small_orders_are_truncations(self, mode):
+        full = boundary_constants(30, mode)
+        for order in (1, 2):
+            got = boundary_constants(order, mode)
+            for name in ("g0", "h0", "k0"):
+                assert got[name] == full[name].truncate(order), (order, name)
+
 
 class TestLevelGF:
     def test_level0_equals_boundary_total(self):
@@ -156,7 +161,7 @@ class TestIdentities:
         assert transformed_cubic().apply(compressed).is_zero()
 
     def test_cancellation_div_example(self):
-        ut = kernel_root(12, GFMode.UNIVARIATE).utilde
+        ut = kernel_root(12, GFMode.UNIVARIATE)
         from skewdyck.series import divide
 
         out = divide(ZSeries.one(12) - ut, ZSeries([0, 0, 1], 12, QQ))

@@ -183,7 +183,7 @@ class TestAgainstFractionReference:
     @pytest.mark.parametrize("mode", list(GFMode))
     def test_kernel_root(self, mode):
         R = RING[mode]
-        got = kernel_root(120, mode).utilde
+        got = kernel_root(120, mode)
         assert lifted(R, got) == ref_newton(R, kernel_equation(mode), 1, 120)
 
     @pytest.mark.parametrize("mode", list(GFMode))
@@ -197,7 +197,7 @@ class TestAgainstFractionReference:
     @pytest.mark.parametrize("mode", list(GFMode))
     def test_inverse_and_product(self, mode):
         R = RING[mode]
-        s = kernel_root(40, mode).utilde
+        s = kernel_root(40, mode)
         ref = lifted(R, s)
         assert lifted(R, s.inverse()) == ref_inverse(R, ref)
         assert lifted(R, s * s) == ref_mul(R, ref, ref)
