@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from . import cubics
+
 
 class MissingCoefficient(Exception):
     """Requested index beyond the supplied exact coefficients."""
@@ -34,17 +36,16 @@ class AsymptoticConstants:
     growth: float
 
 
-def _cubic(z: float, s: float) -> float:
-    return z * z * s**3 - z * (2 - z) * s * s + (1 - z * z) * s - 1 + z + z * z
-
-
 def dominant_singularity_numeric() -> float:
-    """z0 by bisection on [0.1, 0.3]: the S-derivative of the cubic
+    """z0 by bisection on [0.1, 0.3]: the S-derivative of the avoidance
+    cubic (cubics.avoidance_cubic, the one the series solver uses)
     vanishes along S = (z + 1)/(3 z), and z0 is where the cubic itself
     vanishes there."""
+    polys = cubics.avoidance_cubic().coeff_polys
 
     def g(z: float) -> float:
-        return _cubic(z, (z + 1.0) / (3.0 * z))
+        s = (z + 1.0) / (3.0 * z)
+        return sum(sum(c * z**j for j, c in enumerate(p)) * s**i for i, p in enumerate(polys))
 
     lo, hi = 0.1, 0.3
     flo = g(lo)

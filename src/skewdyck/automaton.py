@@ -18,7 +18,7 @@ separate forbidding or totalling automaton.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .rings import QT, T, TPoly
 from .series import ZSeries
@@ -68,10 +68,18 @@ def step(state: StateVector) -> StateVector:
     return new
 
 
-def run(length: int) -> StateVector:
+def walk(length: int) -> Iterator[StateVector]:
+    """The states after 0, 1, ..., length steps, each computed once."""
     state = initial_state()
+    yield state
     for _ in range(length):
         state = step(state)
+        yield state
+
+
+def run(length: int) -> StateVector:
+    for state in walk(length):
+        pass
     return state
 
 
@@ -97,9 +105,5 @@ def layer_series(layer: Layer, level: int, order: int) -> ZSeries:
     z^m is its marker-polynomial weight after m steps."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    state = initial_state()
-    coeffs = [state.get((layer, level), TPoly())]
-    for _ in range(order - 1):
-        state = step(state)
-        coeffs.append(state.get((layer, level), TPoly()))
+    coeffs = [state.get((layer, level), TPoly()) for state in walk(order - 1)]
     return ZSeries(coeffs, order, QT)

@@ -50,14 +50,14 @@ def kernel_equation(mode: GFMode) -> AlgEquation:
     return eq.evaluate_t(0) if mode is GFMode.UNIVARIATE else eq
 
 
-def kernel_root(order: int, mode: GFMode = GFMode.UNIVARIATE) -> ZSeries:
+def kernel_root(order: int, mode: GFMode) -> ZSeries:
     """utilde modulo z^order, the root of the kernel cubic with constant term 1."""
     if order < 2:
         raise ValueError("order must be >= 2")
     return solve_algebraic(kernel_equation(mode), 1, order)
 
 
-def boundary_constants(order: int, mode: GFMode = GFMode.UNIVARIATE):
+def boundary_constants(order: int, mode: GFMode):
     """Level-0 constants g0, h0, k0 rewritten in utilde:
 
         g0 = z^2 / utilde
@@ -85,7 +85,7 @@ def boundary_constants(order: int, mode: GFMode = GFMode.UNIVARIATE):
     }
 
 
-def level_gf(k: int, order: int, mode: GFMode = GFMode.UNIVARIATE) -> ZSeries:
+def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
     """Series of paths ending at level k: (1 - utilde) z^(k-2) / utilde^k.
 
     1 - utilde has valuation 2, so the z^-2 is an exact cancellation and
@@ -105,7 +105,7 @@ def level_gf(k: int, order: int, mode: GFMode = GFMode.UNIVARIATE) -> ZSeries:
     return base.shift(k)
 
 
-def check_identity_total(order: int, mode: GFMode = GFMode.UNIVARIATE) -> bool:
+def check_identity_total(order: int, mode: GFMode) -> bool:
     """1 + g0 + h0 + k0 == (1 - utilde) / z^2 as exact truncated series."""
     consts = boundary_constants(order, mode)
     lhs = 1 + consts["g0"] + consts["h0"] + consts["k0"]

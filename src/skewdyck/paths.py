@@ -150,99 +150,72 @@ class SkewPath:
         return "".join(s.letter for s in self.steps)
 
 
+def _check_length(length: int) -> None:
+    if length > ORACLE_CAP:
+        raise CapExceeded(f"length {length} exceeds oracle cap {ORACLE_CAP}")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+
+
+def _valid_words(max_length: int) -> Iterator[tuple[tuple[Step, ...], int, int]]:
+    """Yield (word, end level, pattern count) for every valid word of at
+    most max_length steps, each word before its extensions and words of
+    one length in lexicographic step order (Up < DownBlack < DownRed).
+
+    Only valid prefixes are extended, so the search covers the prefix
+    tree of valid words, not the full 3^length cube; every prefix of a
+    valid word is itself valid.
+    """
+    up, black, red = Step
+    stack = [((), 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        yield item
+        word, level, udr = item
+        if len(word) == max_length:
+            continue
+        last = word[-1] if word else None
+        # Pushed in reverse so that Up is popped first.
+        if level:
+            if last is not up:
+                # DownRed after Up, DownBlack completes the pattern.
+                push((word + (red,), level - 1, udr + (word[-2:] == (up, black))))
+            push((word + (black,), level - 1, udr))
+        if last is not red:
+            push((word + (up,), level + 1, udr))
+
+
 def enumerate_paths(
     length: int,
     end_level: Optional[int] = None,
     forbid_udr: bool = False,
 ) -> Iterator[SkewPath]:
     """Yield every valid path of exactly `length` steps, in lexicographic
-    step order (Up < DownBlack < DownRed).
-
-    Only valid prefixes are extended, so the search tree is the prefix
-    tree of valid words, not the full 3^length cube.  An unreachable end
-    level yields nothing.
-    """
-    if length > ORACLE_CAP:
-        raise CapExceeded(f"length {length} exceeds oracle cap {ORACLE_CAP}")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-
-    prefix: list[Step] = []
-
-    def reachable(level: int, remaining: int) -> bool:
-        if end_level is None:
-            return True
-        gap = abs(end_level - level)
-        return gap <= remaining and (remaining - gap) % 2 == 0
-
-    def walk(level: int) -> Iterator[SkewPath]:
-        depth = len(prefix)
-        if depth == length:
-            if end_level is None or level == end_level:
-                yield SkewPath(tuple(prefix))
-            return
-        last = prefix[-1] if prefix else None
-        for step in (Step.UP, Step.DOWN_BLACK, Step.DOWN_RED):
-            nlevel = level + step.displacement
-            if nlevel < 0:
-                continue
-            if step is Step.UP and last is Step.DOWN_RED:
-                continue
-            if step is Step.DOWN_RED and last is Step.UP:
-                continue
-            if (
-                forbid_udr
-                and step is Step.DOWN_RED
-                and depth >= 2
-                and prefix[-1] is Step.DOWN_BLACK
-                and prefix[-2] is Step.UP
-            ):
-                continue
-            if not reachable(nlevel, length - depth - 1):
-                continue
-            prefix.append(step)
-            yield from walk(nlevel)
-            prefix.pop()
-
-    yield from walk(0)
+    step order (Up < DownBlack < DownRed).  An unreachable end level
+    yields nothing."""
+    _check_length(length)
+    for word, level, udr in _valid_words(length):
+        if (
+            len(word) == length
+            and (end_level is None or level == end_level)
+            and not (forbid_udr and udr)
+        ):
+            yield SkewPath(word)
 
 
 def udr_profile(max_length: int):
     """Brute-force pattern histograms for every length up to max_length.
 
     Returns hist with hist[m][level][j] = number of valid words of
-    length m ending at `level` with exactly j pattern occurrences.  A
-    single walk over the prefix tree of valid words covers all lengths
-    at once; every prefix of a valid word is itself valid.
+    length m ending at `level` with exactly j pattern occurrences, all
+    lengths tallied from one walk over the prefix tree of valid words.
     """
-    if max_length > ORACLE_CAP:
-        raise CapExceeded(f"length {max_length} exceeds oracle cap {ORACLE_CAP}")
+    _check_length(max_length)
     hist: list[dict[int, dict[int, int]]] = [dict() for _ in range(max_length + 1)]
-    hist[0][0] = {0: 1}
-
-    def record(depth, level, udr):
-        by_level = hist[depth]
-        counter = by_level.setdefault(level, {})
+    for word, level, udr in _valid_words(max_length):
+        counter = hist[len(word)].setdefault(level, {})
         counter[udr] = counter.get(udr, 0) + 1
-
-    def walk(depth, level, last, second_last, udr):
-        if depth == max_length:
-            return
-        # Up
-        if last is not Step.DOWN_RED:
-            record(depth + 1, level + 1, udr)
-            walk(depth + 1, level + 1, Step.UP, last, udr)
-        if level > 0:
-            # DownBlack
-            record(depth + 1, level - 1, udr)
-            walk(depth + 1, level - 1, Step.DOWN_BLACK, last, udr)
-            # DownRed
-            if last is not Step.UP:
-                bump = 1 if (last is Step.DOWN_BLACK and second_last is Step.UP) else 0
-                record(depth + 1, level - 1, udr + bump)
-                walk(depth + 1, level - 1, Step.DOWN_RED, last, udr + bump)
-
-    walk(0, 0, None, None, 0)
     return hist
 
 

@@ -35,22 +35,19 @@ def check_dp_vs_oracle(depth: int) -> CheckResult:
     """Automaton marker polynomials equal brute-force histograms for all
     lengths up to `depth` and all end levels, in one walk."""
     hist = paths.udr_profile(depth)
-    state = automaton.initial_state()
-    for m in range(depth + 1):
-        if m:
-            state = automaton.step(state)
+    for m, state in enumerate(automaton.walk(depth)):
         expected = {lvl: _histogram_poly(c) for lvl, c in hist[m].items()}
         if automaton.by_level(state) != {k: v for k, v in expected.items() if v}:
             return CheckResult("dp-vs-oracle", False, f"mismatch at length {m}")
     return CheckResult("dp-vs-oracle", True, f"all lengths <= {depth}")
 
 
-def check_kernel_residual(order: int = 64) -> CheckResult:
+def check_kernel_residual() -> CheckResult:
     for mode in kernel.GFMode:
-        utilde = kernel.kernel_root(order, mode)
+        utilde = kernel.kernel_root(64, mode)
         if not kernel.kernel_equation(mode).apply(utilde).is_zero():
             return CheckResult("kernel-residual", False, f"nonzero residual in {mode.value} mode")
-    return CheckResult("kernel-residual", True, f"both modes, mod z^{order}")
+    return CheckResult("kernel-residual", True, "both modes, mod z^64")
 
 
 def check_kernel_root_display() -> CheckResult:
@@ -80,16 +77,13 @@ def check_bivariate_vs_golden() -> CheckResult:
     return CheckResult("bivariate-vs-golden", ok, "" if ok else f"got {got}")
 
 
-def check_level_gfs(max_level: int = 6, depth: int = 16) -> CheckResult:
+def check_level_gfs() -> CheckResult:
     """Kernel-method level series against one walk of the automaton,
     marker-tracked and with the pattern forbidden (t = 0)."""
-    levels = range(max_level + 1)
-    track = [kernel.level_gf(k, depth + 1, kernel.GFMode.BIVARIATE) for k in levels]
-    forbid = [kernel.level_gf(k, depth + 1, kernel.GFMode.UNIVARIATE) for k in levels]
-    state = automaton.initial_state()
-    for m in range(depth + 1):
-        if m:
-            state = automaton.step(state)
+    levels = range(7)
+    track = [kernel.level_gf(k, 17, kernel.GFMode.BIVARIATE) for k in levels]
+    forbid = [kernel.level_gf(k, 17, kernel.GFMode.UNIVARIATE) for k in levels]
+    for m, state in enumerate(automaton.walk(16)):
         by_level = automaton.by_level(state)
         for k in levels:
             want = by_level.get(k, TPoly())
@@ -97,60 +91,57 @@ def check_level_gfs(max_level: int = 6, depth: int = 16) -> CheckResult:
                 return CheckResult("level-gf-vs-dp", False, f"k={k} m={m}")
             if forbid[k].coefficient(m) != want(0):
                 return CheckResult("level-gf-vs-dp", False, f"forbid k={k} m={m}")
-    return CheckResult("level-gf-vs-dp", True, f"k <= {max_level}, m <= {depth}")
+    return CheckResult("level-gf-vs-dp", True, "k <= 6, m <= 16")
 
 
-def check_half_length_collapse(order: int = 24) -> CheckResult:
-    lvl0 = kernel.level_gf(0, 2 * order, kernel.GFMode.UNIVARIATE).compress_even()
-    if not lvl0.agrees_with(cubics.avoidance_series(order)):
+def check_half_length_collapse() -> CheckResult:
+    lvl0 = kernel.level_gf(0, 48, kernel.GFMode.UNIVARIATE).compress_even()
+    if not lvl0.agrees_with(cubics.avoidance_series(24)):
         return CheckResult("half-length-collapse", False, "avoidance series mismatch")
-    lvl0t = kernel.level_gf(0, 2 * order, kernel.GFMode.BIVARIATE).compress_even()
-    if not lvl0t.agrees_with(cubics.marker_series(order)):
+    lvl0t = kernel.level_gf(0, 48, kernel.GFMode.BIVARIATE).compress_even()
+    if not lvl0t.agrees_with(cubics.marker_series(24)):
         return CheckResult("half-length-collapse", False, "marker series mismatch")
-    return CheckResult("half-length-collapse", True, f"both modes, {order} half-length terms")
+    return CheckResult("half-length-collapse", True, "both modes, 24 half-length terms")
 
 
-def check_transformed_cubic(order: int = 30) -> CheckResult:
-    s = cubics.avoidance_series(order)
-    r = cubics.transformed_cubic().apply(s)
-    ok = r.is_zero()
-    return CheckResult("transformed-cubic", ok, f"residual mod Z^{order}" if ok else "nonzero residual")
+def check_transformed_cubic() -> CheckResult:
+    ok = cubics.transformed_cubic().apply(cubics.avoidance_series(30)).is_zero()
+    return CheckResult("transformed-cubic", ok, "residual mod Z^30" if ok else "nonzero residual")
 
 
-def check_recurrence(n_max: int = 200) -> CheckResult:
-    seq = holonomic.extend([1, 1, 2, 6], n_max)
-    solver = cubics.avoidance_series(n_max + 1).integer_coefficients()
+def check_recurrence() -> CheckResult:
+    seq = holonomic.extend([1, 1, 2, 6], 200)
+    solver = cubics.avoidance_series(201).integer_coefficients()
     if seq != solver:
         first = next(i for i, (a, b) in enumerate(zip(seq, solver)) if a != b)
         return CheckResult("recurrence-vs-solver", False, f"first mismatch at n={first}")
     if any(holonomic.recurrence_residual(seq)):
         return CheckResult("recurrence-vs-solver", False, "nonzero residual")
-    return CheckResult("recurrence-vs-solver", True, f"agreement to n={n_max}")
+    return CheckResult("recurrence-vs-solver", True, "agreement to n=200")
 
 
-def check_ode(order: int = 30) -> CheckResult:
-    r = holonomic.ode_residual(cubics.avoidance_series(order))
-    ok = r.is_zero()
-    return CheckResult("ode-residual", ok, f"zero mod z^{order - 2}" if ok else "nonzero residual")
+def check_ode() -> CheckResult:
+    ok = holonomic.ode_residual(cubics.avoidance_series(30)).is_zero()
+    return CheckResult("ode-residual", ok, "zero mod z^28" if ok else "nonzero residual")
 
 
-def check_boundary_identity(order: int = 20) -> CheckResult:
+def check_boundary_identity() -> CheckResult:
     for mode in kernel.GFMode:
-        if not kernel.check_identity_total(order, mode):
+        if not kernel.check_identity_total(20, mode):
             return CheckResult("boundary-identity", False, f"{mode.value} mode")
-    return CheckResult("boundary-identity", True, f"both modes, mod z^{order}")
+    return CheckResult("boundary-identity", True, "both modes, mod z^20")
 
 
-def check_asymptotics(n_top: int = 1600) -> CheckResult:
+def check_asymptotics() -> CheckResult:
     try:
         asymptotics.constants(recheck=True)
     except AssertionError as exc:
         return CheckResult("asymptotics", False, str(exc))
-    coeffs = holonomic.extend([1, 1, 2, 6], n_top)
+    coeffs = holonomic.extend([1, 1, 2, 6], 1600)
     ratio_1000 = asymptotics.coefficient_ratio(1000, coeffs)
     if not 0.99 <= ratio_1000 <= 1.01:
         return CheckResult("asymptotics", False, f"ratio at n=1000 is {ratio_1000}")
-    ns = [n for n in (50, 100, 200, 400, 800, 1600) if n <= n_top]
+    ns = (50, 100, 200, 400, 800, 1600)
     devs = [abs(asymptotics.coefficient_ratio(n, coeffs) - 1.0) for n in ns]
     if any(b >= a for a, b in zip(devs, devs[1:])):
         return CheckResult("asymptotics", False, f"deviations not shrinking: {devs}")

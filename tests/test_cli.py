@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import holonomic
+from skewdyck import automaton, holonomic
 from skewdyck.cli import (
     ASYMPT_CAP,
     BIVARIATE_CAP,
@@ -19,6 +19,7 @@ from skewdyck.cli import (
     run,
 )
 from skewdyck.paths import ORACLE_CAP
+from skewdyck.rings import TPoly
 
 
 @pytest.fixture
@@ -125,6 +126,19 @@ class TestVerify:
         assert len(rows) == 12
         assert rows[0] == ["PASS", "dp-vs-oracle", "all lengths <= 8"]
         assert rows[2] == ["PASS", "kernel-root-display", ""]
+
+    def test_wrong_automaton_fails_both_automaton_checks(self, capout, monkeypatch):
+        # An unmarked G -> K edge: the automaton then counts every path
+        # with t = 1, so both checks that walk it must catch the error.
+        monkeypatch.setattr(automaton, "T", TPoly(1))
+        code, out, err = capout("verify", "--order", "8")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL dp-vs-oracle  (mismatch at length 4)"
+        assert lines[5] == "FAIL level-gf-vs-dp  (k=0 m=4)"
+        assert len(lines) == 12
+        assert all(line.startswith("PASS") for i, line in enumerate(lines) if i not in (0, 5))
+        assert err == "2 check(s) failed\n"
 
 
 class TestAsympt:

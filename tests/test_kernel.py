@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from skewdyck import golden
@@ -126,7 +124,7 @@ class TestLevelGF:
     def test_level_beyond_order_is_zero(self):
         # valuation >= k, so nothing survives; no kernel root is solved
         assert level_gf(10**6, 5, GFMode.BIVARIATE).is_zero()
-        assert level_gf(5, 5).coeffs == (0,) * 5
+        assert level_gf(5, 5, GFMode.UNIVARIATE).coeffs == (0,) * 5
 
     def test_level2_track_matches_dp(self):
         gf = level_gf(2, 7, GFMode.BIVARIATE)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewdyck.paths import (
+    ORACLE_CAP,
     CapExceeded,
     Rule,
     SkewPath,
@@ -126,6 +127,8 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             next(enumerate_paths(25))
+        with pytest.raises(CapExceeded):
+            udr_profile(ORACLE_CAP + 1)
 
     def test_cardinality_matches_validity_filter(self):
         for m in range(9):
@@ -144,13 +147,17 @@ class TestEnumerate:
 
 
 class TestUdrProfile:
-    def test_matches_enumeration(self):
+    def test_matches_word_cube(self):
+        # validate and count_udr share no code with the walk behind
+        # udr_profile and enumerate_paths.
         hist = udr_profile(8)
         for m in range(9):
             seen = {}
-            for p in enumerate_paths(m):
-                counter = seen.setdefault(p.end_level, {})
-                counter[p.udr_count] = counter.get(p.udr_count, 0) + 1
+            for word in itertools.product((U, D, R), repeat=m):
+                if validate(word).valid:
+                    counter = seen.setdefault(sum(s.displacement for s in word), {})
+                    j = count_udr(word)
+                    counter[j] = counter.get(j, 0) + 1
             assert hist[m] == seen
 
 
