@@ -15,7 +15,6 @@ digits, and growth^n overflows a double near n = 460.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import cubics
@@ -26,21 +25,16 @@ class MissingCoefficient(Exception):
 
 
 SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    z0: float
-    singular_value: float
-    amplitude: float
-    growth: float
+Z0 = (2.0 / 11.0) * (3.0 * SQRT3 - 4.0)
+GROWTH = 2.0 + 1.5 * SQRT3  # 1 / Z0
+AMPLITUDE = math.sqrt(2.0 + 8.0 * SQRT3 / 9.0) / (2.0 * math.sqrt(math.pi))
 
 
 def dominant_singularity_numeric() -> float:
-    """z0 by bisection on [0.1, 0.3]: the S-derivative of the avoidance
-    cubic (cubics.avoidance_cubic, the one the series solver uses)
-    vanishes along S = (z + 1)/(3 z), and z0 is where the cubic itself
-    vanishes there."""
+    """z0 by bisection on [0.1, 0.3], re-derived from the avoidance cubic
+    (cubics.avoidance_cubic, the one the series solver uses) to check
+    the closed form Z0: the S-derivative of the cubic vanishes along
+    S = (z + 1)/(3 z), and z0 is where the cubic itself vanishes there."""
     polys = cubics.avoidance_cubic().coeff_polys
 
     def g(z: float) -> float:
@@ -65,30 +59,11 @@ def dominant_singularity_numeric() -> float:
     return 0.5 * (lo + hi)
 
 
-def constants(recheck: bool = True) -> AsymptoticConstants:
-    """Closed-form constants; with recheck, z0 is re-derived numerically
-    and must agree to 1e-12."""
-    z0 = (2.0 / 11.0) * (3.0 * SQRT3 - 4.0)
-    growth = 2.0 + 1.5 * SQRT3
-    amplitude = math.sqrt(2.0 + 8.0 * SQRT3 / 9.0) / (2.0 * math.sqrt(math.pi))
-    if recheck:
-        numeric = dominant_singularity_numeric()
-        if abs(numeric - z0) > 1e-12:
-            raise AssertionError(f"numeric z0 {numeric!r} disagrees with closed form {z0!r}")
-    return AsymptoticConstants(
-        z0=z0,
-        singular_value=1.0 + SQRT3 / 2.0,
-        amplitude=amplitude,
-        growth=growth,
-    )
-
-
 def log_estimate(n: int) -> float:
     """Natural log of the leading-order estimate for s_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = constants(recheck=False)
-    return math.log(c.amplitude) + n * math.log(c.growth) - 1.5 * math.log(n)
+    return math.log(AMPLITUDE) + n * math.log(GROWTH) - 1.5 * math.log(n)
 
 
 def estimate(n: int) -> float:

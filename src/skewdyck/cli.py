@@ -32,6 +32,7 @@ BIVARIATE_CAP = 250  # bivariate --order
 LEVELS_CAP = 300  # levels --order and the level
 COUNT_CAP = 600  # count length and level
 UNIT_PX_CAP = 1000  # render --unit-px
+RENDER_CAP = 10000  # render word letters; about 0.1 s and 1.1 MB of SVG at the cap
 T_EVAL_DIGITS = 30  # digits of a rational --t-eval's numerator and denominator
 T_NAMED = {"zero": 0, "one": 1}
 
@@ -49,6 +50,14 @@ def _bounded_int(lo: int, hi: int):
         return value
 
     return parse
+
+
+def _bounded_word(text: str) -> str:
+    """argparse type: a render word of at most RENDER_CAP letters, checked
+    before it is parsed."""
+    if len(text) > RENDER_CAP:
+        raise argparse.ArgumentTypeError(f"word has {len(text)} letters: at most {RENDER_CAP}")
+    return text
 
 
 def _parse_t_eval(value: str):
@@ -192,11 +201,11 @@ def _emit_asympt(args, rows) -> None:
 
 def cmd_render(args) -> int:
     try:
-        path = paths.SkewPath.from_word(args.word)
+        path = paths.SkewPath(paths.parse_word(args.word))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    svg = paths.render_svg(path, unit_px=args.unit_px)
+    svg = paths.render_svg(path, args.unit_px)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -215,6 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration of skew Dyck paths with the up-down-red pattern forbidden or counted.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    t_eval_help = (
+        "evaluate the marker t: track (default), zero, one or a rational such as 1/2; "
+        "write a negative rational with '=', as in --t-eval=-7/3"
+    )
 
     def common(p, order_cap=None, order_help="truncation order / number of terms"):
         if order_cap is not None:
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="paths of a given length and end level")
     p.add_argument("length", type=_bounded_int(0, COUNT_CAP), help=f"0..{COUNT_CAP}")
     p.add_argument("level", type=_bounded_int(0, COUNT_CAP), help=f"0..{COUNT_CAP}")
-    p.add_argument("--t-eval", type=_parse_t_eval, default="track")
+    p.add_argument("--t-eval", type=_parse_t_eval, default="track", help=t_eval_help)
     common(p)
     p.set_defaults(fn=cmd_count)
 
@@ -244,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("levels", help="generating series of paths ending at a level")
     p.add_argument("level", type=_bounded_int(0, LEVELS_CAP), help=f"0..{LEVELS_CAP}")
-    p.add_argument("--t-eval", type=_parse_t_eval, default="track")
+    p.add_argument("--t-eval", type=_parse_t_eval, default="track", help=t_eval_help)
     p.add_argument("--half-length", action="store_true")
     common(p, LEVELS_CAP)
     p.set_defaults(fn=cmd_levels)
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_asympt)
 
     p = sub.add_parser("render", help="render a path word (letters U, D, R) as SVG")
-    p.add_argument("word")
+    p.add_argument("word", type=_bounded_word, help=f"at most {RENDER_CAP} letters")
     p.add_argument("--unit-px", type=_bounded_int(1, UNIT_PX_CAP), default=24, help=f"1..{UNIT_PX_CAP}")
     p.add_argument("-o", "--output", default=None)
     common(p)
@@ -273,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def run(argv) -> int:
     args = build_parser().parse_args(argv)
     return args.fn(args)
 
 
 def main() -> None:
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

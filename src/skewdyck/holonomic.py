@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from .rings import QQ
 from .series import ZSeries
 
 
@@ -99,11 +100,11 @@ def ode_residual(s: ZSeries) -> ZSeries:
     if s.order < 5:
         raise ValueError("series order must be at least 5")
     n = s.order
-    two_z_minus_1 = ZSeries([-1, 2], n)
-    a0 = ZSeries([-8, 31], n)
-    a1 = ZSeries([0, -15], n)
-    b1 = -(two_z_minus_1 * ZSeries([8, -48, 15, 44], n))
-    b2 = -(ZSeries([0, -4, 16, 11], n) * two_z_minus_1 * two_z_minus_1)
+    two_z_minus_1 = ZSeries([-1, 2], n, QQ)
+    a0 = ZSeries([-8, 31], n, QQ)
+    a1 = ZSeries([0, -15], n, QQ)
+    b1 = -(two_z_minus_1 * ZSeries([8, -48, 15, 44], n, QQ))
+    b2 = -(ZSeries([0, -4, 16, 11], n, QQ) * two_z_minus_1 * two_z_minus_1)
     ds = s.differentiate()
     dds = ds.differentiate()
     return a0 + a1 * s + b1 * ds + b2 * dds

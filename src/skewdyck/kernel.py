@@ -97,7 +97,7 @@ def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
         raise ValueError("level must be nonnegative")
     keep = order - k  # coefficients of the quotient that survive the shift
     if keep < 1:
-        return ZSeries.zero(order, kernel_equation(mode).ring)
+        return ZSeries((), order, kernel_equation(mode).ring)
     ut = kernel_root(keep + 2, mode)
     base = divide(1 - ut, ZSeries([0, 0, 1], keep + 2, ut.ring))
     if k:

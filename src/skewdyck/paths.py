@@ -1,5 +1,5 @@
-"""Skew path words: validity rules, pattern counting, brute-force
-enumeration, and an SVG renderer.
+"""Skew path words: validity rules, brute-force enumeration, and an SVG
+renderer.
 
 A path is a word over three steps: Up (+1), DownBlack (-1) and DownRed
 (-1, the encoded left step).  A word is valid when it never dips below
@@ -37,10 +37,6 @@ class Step(enum.IntEnum):
     def displacement(self) -> int:
         return 1 if self is Step.UP else -1
 
-    @property
-    def letter(self) -> str:
-        return {Step.UP: "U", Step.DOWN_BLACK: "D", Step.DOWN_RED: "R"}[self]
-
 
 _LETTER_TO_STEP = {
     "U": Step.UP,
@@ -71,14 +67,9 @@ class Violation:
     rule: Rule
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    valid: bool
-    violation: Optional[Violation] = None
-
-
-def validate(word: Sequence[Step]) -> ValidityReport:
-    """Check the three validity rules, reporting the earliest violation.
+def validate(word: Sequence[Step]) -> Optional[Violation]:
+    """Check the three validity rules: None for a valid word, else the
+    earliest violation.
 
     At a tied index the axis rule is reported before the factor rules.
     The index of a factor violation is the position of its first step.
@@ -87,46 +78,26 @@ def validate(word: Sequence[Step]) -> ValidityReport:
     for i, step in enumerate(word):
         level += step.displacement
         if level < 0:
-            return ValidityReport(False, Violation(i, Rule.BELOW_AXIS))
+            return Violation(i, Rule.BELOW_AXIS)
         if i + 1 < len(word):
             nxt = word[i + 1]
             if step is Step.UP and nxt is Step.DOWN_RED:
-                return ValidityReport(False, Violation(i, Rule.UP_RED))
+                return Violation(i, Rule.UP_RED)
             if step is Step.DOWN_RED and nxt is Step.UP:
-                return ValidityReport(False, Violation(i, Rule.RED_UP))
-    return ValidityReport(True)
-
-
-def count_udr(word: Sequence[Step]) -> int:
-    """Number of contiguous Up, DownBlack, DownRed factors.
-
-    Occurrences cannot overlap: a DownRed is never followed by Up in a
-    valid word, so consecutive matches are at least three steps apart.
-    """
-    return sum(
-        1
-        for i in range(len(word) - 2)
-        if word[i] is Step.UP
-        and word[i + 1] is Step.DOWN_BLACK
-        and word[i + 2] is Step.DOWN_RED
-    )
+                return Violation(i, Rule.RED_UP)
+    return None
 
 
 @dataclass(frozen=True)
 class SkewPath:
-    """A validated step word with its level profile and pattern count."""
+    """A validated step word with its level profile."""
 
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        report = validate(self.steps)
-        if not report.valid:
-            v = report.violation
+        v = validate(self.steps)
+        if v is not None:
             raise ValueError(f"invalid word: {v.rule.value} at index {v.index}")
-
-    @classmethod
-    def from_word(cls, text: str) -> "SkewPath":
-        return cls(parse_word(text))
 
     @cached_property
     def levels(self) -> tuple[int, ...]:
@@ -135,19 +106,8 @@ class SkewPath:
             out.append(out[-1] + s.displacement)
         return tuple(out)
 
-    @cached_property
-    def udr_count(self) -> int:
-        return count_udr(self.steps)
-
-    @property
-    def end_level(self) -> int:
-        return self.levels[-1]
-
     def __len__(self) -> int:
         return len(self.steps)
-
-    def word(self) -> str:
-        return "".join(s.letter for s in self.steps)
 
 
 def _check_length(length: int) -> None:
@@ -186,22 +146,14 @@ def _valid_words(max_length: int) -> Iterator[tuple[tuple[Step, ...], int, int]]
             push((word + (up,), level + 1, udr))
 
 
-def enumerate_paths(
-    length: int,
-    end_level: Optional[int] = None,
-    forbid_udr: bool = False,
-) -> Iterator[SkewPath]:
-    """Yield every valid path of exactly `length` steps, in lexicographic
-    step order (Up < DownBlack < DownRed).  An unreachable end level
-    yields nothing."""
+def enumerate_paths(length: int) -> Iterator[tuple[tuple[Step, ...], int, int]]:
+    """Yield (word, end level, pattern count) for every valid word of
+    exactly `length` steps, in lexicographic step order (Up < DownBlack
+    < DownRed)."""
     _check_length(length)
-    for word, level, udr in _valid_words(length):
-        if (
-            len(word) == length
-            and (end_level is None or level == end_level)
-            and not (forbid_udr and udr)
-        ):
-            yield SkewPath(word)
+    for item in _valid_words(length):
+        if len(item[0]) == length:
+            yield item
 
 
 def udr_profile(max_length: int):
@@ -223,7 +175,7 @@ _RED = "#cc0022"
 _BLACK = "#000000"
 
 
-def render_svg(path: SkewPath, unit_px: int = 24) -> str:
+def render_svg(path: SkewPath, unit_px: int) -> str:
     """Standalone SVG 1.1 drawing, one segment per step.
 
     Up is drawn as (+1,+1); both down steps as (+1,-1), the red one in

@@ -41,9 +41,6 @@ class TPoly:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, j: int):
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -53,9 +50,6 @@ class TPoly:
         if isinstance(other, int):
             return self.coeffs == TPoly(other).coeffs
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("TPoly", self.coeffs))
 
     def __neg__(self) -> "TPoly":
         return TPoly(tuple(-c for c in self.coeffs))

@@ -4,8 +4,7 @@ A series carries an explicit truncation order N, meaning it is known
 modulo z^N.  Arithmetic never reads beyond the order, and binary
 operations return the minimum of the input orders, so precision loss is
 always visible in the result type.  Algebraic equations P(z, S) = 0 with
-a simple root at the origin are solved by Newton iteration; a slower
-undetermined-coefficients solver is kept as an independent cross-check.
+a simple root at the origin are solved by Newton iteration.
 
 Coefficients stay in Z or Z[t] throughout.  A series can be inverted
 only when its constant term is +1 or -1, and the Newton solver requires
@@ -51,7 +50,7 @@ class ZSeries:
 
     __slots__ = ("coeffs", "order", "ring")
 
-    def __init__(self, coeffs, order, ring=QQ):
+    def __init__(self, coeffs, order, ring):
         if order < 1:
             raise ValueError("truncation order must be >= 1")
         cs = [ring.coerce(c) for c in coeffs[:order]]
@@ -69,16 +68,6 @@ class ZSeries:
         s.order = order
         s.ring = ring
         return s
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order, ring=QQ):
-        return cls((), order, ring)
-
-    @classmethod
-    def one(cls, order, ring=QQ):
-        return cls((ring.one,), order, ring)
 
     # -- basics -------------------------------------------------------
 
@@ -109,9 +98,6 @@ class ZSeries:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order, id(self.ring)))
 
     def agrees_with(self, other: "ZSeries") -> bool:
         """Coefficientwise equality up to the smaller order."""
@@ -169,7 +155,7 @@ class ZSeries:
             k >>= 1
             if k:
                 base = base * base
-        return ZSeries.one(self.order, self.ring) if result is None else result
+        return ZSeries((self.ring.one,), self.order, self.ring) if result is None else result
 
     def inverse(self) -> "ZSeries":
         """Multiplicative inverse; requires a constant term of +1 or -1."""
@@ -286,7 +272,7 @@ class AlgEquation:
 
     __slots__ = ("coeff_polys", "ring")
 
-    def __init__(self, coeff_polys, ring=QQ):
+    def __init__(self, coeff_polys, ring):
         polys = [tuple(ring.coerce(c) for c in p) for p in coeff_polys]
         if not polys or all(c == ring.zero for c in polys[-1]):
             raise ValueError("leading coefficient is identically zero")
@@ -297,16 +283,14 @@ class AlgEquation:
     def degree(self) -> int:
         return len(self.coeff_polys) - 1
 
-    def coefficient_series(self, i: int, order: int) -> ZSeries:
-        return ZSeries(self.coeff_polys[i], order, self.ring)
-
     def apply(self, s: ZSeries) -> ZSeries:
         """Residual sum_i c_i(z) s^i, truncated at s.order (Horner in S)."""
         if s.ring is not self.ring:
             raise RingMismatch(f"{s.ring.name} vs {self.ring.name}")
-        acc = self.coefficient_series(self.degree, s.order)
-        for i in range(self.degree - 1, -1, -1):
-            acc = acc * s + self.coefficient_series(i, s.order)
+        polys = self.coeff_polys
+        acc = ZSeries(polys[-1], s.order, self.ring)
+        for p in reversed(polys[:-1]):
+            acc = acc * s + ZSeries(p, s.order, self.ring)
         return acc
 
     def derivative(self) -> "AlgEquation":
@@ -327,9 +311,8 @@ class AlgEquation:
         return AlgEquation([[c(t_value) for c in p] for p in self.coeff_polys], QQ)
 
 
-def _check_simple_root(eq: AlgEquation, s0):
-    """dP/dS(0, s0), after checking that P(0, s0) = 0 and that dP/dS(0, s0)
-    is +1 or -1."""
+def _check_simple_root(eq: AlgEquation, s0) -> None:
+    """Check that P(0, s0) = 0 and that dP/dS(0, s0) is +1 or -1."""
     at_origin = ZSeries._raw((s0,), 1, eq.ring)
     value = eq.apply(at_origin).coeffs[0]
     if value:
@@ -337,7 +320,6 @@ def _check_simple_root(eq: AlgEquation, s0):
     deriv = eq.derivative().apply(at_origin).coeffs[0] if eq.degree else eq.ring.zero
     if not eq.ring.is_unit(deriv):
         raise SingularRoot(f"dP/dS(0, {s0!r}) = {deriv!r} is not +1 or -1")
-    return deriv
 
 
 def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling") -> ZSeries:
@@ -371,19 +353,3 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
         s = ZSeries._raw(s.coeffs[:k] + tuple(-c for c in step.coeffs), target, ring)
     return s
 
-
-def solve_undetermined(eq: AlgEquation, s0, order: int) -> ZSeries:
-    """Order-by-order coefficient extraction; independent of Newton.
-
-    O(N) residual evaluations, so only suitable for moderate orders; the
-    solvers must agree coefficient-for-coefficient.
-    """
-    ring = eq.ring
-    s0 = ring.coerce(s0)
-    d0 = _check_simple_root(eq, s0)  # +1 or -1, so its own inverse
-    coeffs = [s0]
-    for n in range(1, order):
-        probe = ZSeries(tuple(coeffs) + (ring.zero,), n + 1, ring)
-        r = eq.apply(probe).coeffs[n]
-        coeffs.append(-(d0 * r))
-    return ZSeries(tuple(coeffs), order, ring)

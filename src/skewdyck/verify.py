@@ -19,7 +19,7 @@ from .rings import TPoly
 class CheckResult:
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
 
 
 def _histogram_poly(counter) -> TPoly:
@@ -36,9 +36,13 @@ def check_dp_vs_oracle(depth: int) -> CheckResult:
     lengths up to `depth` and all end levels, in one walk."""
     hist = paths.udr_profile(depth)
     for m, state in enumerate(automaton.walk(depth)):
-        expected = {lvl: _histogram_poly(c) for lvl, c in hist[m].items()}
-        if automaton.by_level(state) != {k: v for k, v in expected.items() if v}:
-            return CheckResult("dp-vs-oracle", False, f"mismatch at length {m}")
+        got = automaton.by_level(state)
+        for k in sorted(got.keys() | hist[m].keys()):
+            dp, oracle = got.get(k, TPoly()), _histogram_poly(hist[m].get(k))
+            if dp != oracle:
+                return CheckResult(
+                    "dp-vs-oracle", False, f"mismatch at length {m} level {k}: automaton {dp} vs oracle {oracle}"
+                )
     return CheckResult("dp-vs-oracle", True, f"all lengths <= {depth}")
 
 
@@ -87,10 +91,14 @@ def check_level_gfs() -> CheckResult:
         by_level = automaton.by_level(state)
         for k in levels:
             want = by_level.get(k, TPoly())
-            if track[k].coefficient(m) != want:
-                return CheckResult("level-gf-vs-dp", False, f"k={k} m={m}")
-            if forbid[k].coefficient(m) != want(0):
-                return CheckResult("level-gf-vs-dp", False, f"forbid k={k} m={m}")
+            got = track[k].coefficient(m)
+            if got != want:
+                return CheckResult("level-gf-vs-dp", False, f"k={k} m={m}: kernel {got} vs automaton {want}")
+            got = forbid[k].coefficient(m)
+            if got != want(0):
+                return CheckResult(
+                    "level-gf-vs-dp", False, f"forbid k={k} m={m}: kernel {got} vs automaton {want(0)}"
+                )
     return CheckResult("level-gf-vs-dp", True, "k <= 6, m <= 16")
 
 
@@ -133,10 +141,10 @@ def check_boundary_identity() -> CheckResult:
 
 
 def check_asymptotics() -> CheckResult:
-    try:
-        asymptotics.constants(recheck=True)
-    except AssertionError as exc:
-        return CheckResult("asymptotics", False, str(exc))
+    z0 = asymptotics.Z0
+    numeric = asymptotics.dominant_singularity_numeric()
+    if abs(numeric - z0) > 1e-12:
+        return CheckResult("asymptotics", False, f"numeric z0 {numeric!r} disagrees with closed form {z0!r}")
     coeffs = holonomic.extend([1, 1, 2, 6], 1600)
     ratio_1000 = asymptotics.coefficient_ratio(1000, coeffs)
     if not 0.99 <= ratio_1000 <= 1.01:

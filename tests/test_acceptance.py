@@ -8,7 +8,7 @@ import math
 import time
 
 from skewdyck import automaton, golden
-from skewdyck.asymptotics import coefficient_ratio, constants
+from skewdyck.asymptotics import AMPLITUDE, GROWTH, Z0, coefficient_ratio, dominant_singularity_numeric
 from skewdyck.cubics import avoidance_series, marker_series, transformed_cubic
 from skewdyck.holonomic import extend, ode_residual
 from skewdyck.kernel import GFMode, kernel_equation, kernel_root, level_gf
@@ -76,7 +76,7 @@ def test_04_theorem_equivalence_levels():
                 got = gfs[k].coeffs[m]
                 dp = by_level.get(k, TPoly())
                 if mode is GFMode.UNIVARIATE:
-                    assert got == dp.coefficient(0), (mode, k, m)
+                    assert got == dp(0), (mode, k, m)
                 else:
                     assert got == dp, (mode, k, m)
             state = automaton.step(state)
@@ -109,11 +109,11 @@ def test_07_transformation_chain():
 
 def test_08_asymptotics():
     start = time.perf_counter()
-    c = constants(recheck=True)  # closed forms vs numeric z0, 1e-12 internally
+    assert abs(dominant_singularity_numeric() - Z0) < 1e-12  # closed form vs numeric z0
     s3 = math.sqrt(3.0)
-    assert abs(c.z0 - (2 / 11) * (3 * s3 - 4)) < 1e-12
-    assert abs(c.growth - (2 + 1.5 * s3)) < 1e-12
-    assert abs(c.amplitude - math.sqrt(2 + 8 * s3 / 9) / (2 * math.sqrt(math.pi))) < 1e-12
+    assert abs(Z0 - (2 / 11) * (3 * s3 - 4)) < 1e-12
+    assert abs(GROWTH - (2 + 1.5 * s3)) < 1e-12
+    assert abs(AMPLITUDE - math.sqrt(2 + 8 * s3 / 9) / (2 * math.sqrt(math.pi))) < 1e-12
     coeffs = extend([1, 1, 2, 6], 1600)
     ratio = coefficient_ratio(1000, coeffs)
     assert 0.99 <= ratio <= 1.01

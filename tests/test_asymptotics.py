@@ -3,9 +3,11 @@ import math
 import pytest
 
 from skewdyck.asymptotics import (
+    AMPLITUDE,
+    GROWTH,
+    Z0,
     MissingCoefficient,
     coefficient_ratio,
-    constants,
     convergence_report,
     dominant_singularity_numeric,
     estimate,
@@ -21,29 +23,24 @@ def coeffs():
 
 class TestConstants:
     def test_closed_forms(self):
-        c = constants()
         s3 = math.sqrt(3.0)
-        assert c.z0 == pytest.approx((2 / 11) * (3 * s3 - 4), abs=1e-15)
-        assert c.z0 == pytest.approx(0.2174822586739, abs=1e-12)
-        assert c.singular_value == pytest.approx(1 + s3 / 2, abs=1e-15)
-        assert c.growth == pytest.approx(4.598076211353316, abs=1e-12)
-        assert c.amplitude == pytest.approx(
+        assert Z0 == pytest.approx((2 / 11) * (3 * s3 - 4), abs=1e-15)
+        assert Z0 == pytest.approx(0.2174822586739, abs=1e-12)
+        assert GROWTH == pytest.approx(4.598076211353316, abs=1e-12)
+        assert AMPLITUDE == pytest.approx(
             math.sqrt(2 + 8 * s3 / 9) / (2 * math.sqrt(math.pi)), abs=1e-15
         )
 
     def test_growth_times_z0_is_one(self):
-        c = constants()
-        assert abs(c.growth * c.z0 - 1.0) < 1e-14
+        assert abs(GROWTH * Z0 - 1.0) < 1e-14
 
     def test_numeric_rederivation(self):
-        c = constants(recheck=False)
-        assert abs(dominant_singularity_numeric() - c.z0) < 1e-12
+        assert abs(dominant_singularity_numeric() - Z0) < 1e-12
 
 
 class TestEstimate:
     def test_formula_at_n1(self):
-        c = constants(recheck=False)
-        assert estimate(1) == pytest.approx(c.amplitude * c.growth, rel=1e-12)
+        assert estimate(1) == pytest.approx(AMPLITUDE * GROWTH, rel=1e-12)
 
     def test_log_space_consistency(self):
         for n in (5, 50, 400):

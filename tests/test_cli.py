@@ -12,6 +12,7 @@ from skewdyck.cli import (
     BIVARIATE_CAP,
     COUNT_CAP,
     LEVELS_CAP,
+    RENDER_CAP,
     SERIES_CAP,
     T_EVAL_DIGITS,
     UNIT_PX_CAP,
@@ -91,6 +92,11 @@ class TestCount:
         _, out, _ = capout("count", "10", "0", "--t-eval", "1/2")
         assert out.strip() == "207/2"  # 71 + 64/2 + 2/4
 
+    def test_negative_rational_t(self, capout):
+        # "--t-eval -7/3" would read -7/3 as an option; the "=" form works.
+        _, out, _ = capout("count", "10", "0", "--t-eval=-7/3")
+        assert out.strip() == "-607/9"  # 71 - 64*7/3 + 2*49/9
+
 
 class TestLevels:
     def test_level1_starts_with_single_path(self, capout):
@@ -134,8 +140,8 @@ class TestVerify:
         code, out, err = capout("verify", "--order", "8")
         assert code == 1
         lines = out.splitlines()
-        assert lines[0] == "FAIL dp-vs-oracle  (mismatch at length 4)"
-        assert lines[5] == "FAIL level-gf-vs-dp  (k=0 m=4)"
+        assert lines[0] == "FAIL dp-vs-oracle  (mismatch at length 4 level 0: automaton 3 vs oracle 2 + t)"
+        assert lines[5] == "FAIL level-gf-vs-dp  (k=0 m=4: kernel 2 + t vs automaton 3)"
         assert len(lines) == 12
         assert all(line.startswith("PASS") for i, line in enumerate(lines) if i not in (0, 5))
         assert err == "2 check(s) failed\n"
@@ -206,6 +212,12 @@ class TestRender:
         assert code == 2
         assert "UpRed" in err
 
+    def test_word_past_the_cap_names_the_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["render", "U" * (RENDER_CAP + 1)])
+        assert exc.value.code == 2
+        assert f"at most {RENDER_CAP}" in capsys.readouterr().err
+
 
 class TestFlagErrors:
     def test_bad_t_eval(self, capout):
@@ -249,6 +261,8 @@ class TestFlagErrors:
         ["render", "UD", "--unit-px", "-3"],
         ["count", "4", "0", "--t-eval", "1e99999999"],
         ["count", "4", "0", "--t-eval", "1/" + "9" * (T_EVAL_DIGITS + 1)],
+        ["render", "U" * (RENDER_CAP + 1)],
+        ["render", "UR" * RENDER_CAP],
     ],
 )
 def test_out_of_range_sizes_exit_2(argv, capsys):
@@ -272,6 +286,7 @@ AT_CAP = {
     "asympt-n": ["asympt", "--n", str(ASYMPT_CAP)],
     "render-unit-px": ["render", "UD", "--unit-px", str(UNIT_PX_CAP)],
     "t-eval-digits": ["count", "4", "0", "--t-eval", "9" * T_EVAL_DIGITS + "/7"],
+    "render-word": ["render", "U" * RENDER_CAP],
 }
 
 

@@ -7,6 +7,7 @@ from skewdyck.holonomic import (
     ode_residual,
     recurrence_residual,
 )
+from skewdyck.rings import QQ
 from skewdyck.series import ZSeries
 
 INITIAL = [1, 1, 2, 6]
@@ -77,11 +78,11 @@ class TestOdeResidual:
         assert r.is_zero()
 
     def test_constant_one(self):
-        r = ode_residual(ZSeries.one(6))
+        r = ode_residual(ZSeries([1], 6, QQ))
         assert r.coeffs[0] == -8
         assert r.coeffs[1] == 16
 
     def test_zero_series(self):
-        r = ode_residual(ZSeries.zero(6))
+        r = ode_residual(ZSeries([], 6, QQ))
         assert r.coeffs[0] == -8
         assert r.coeffs[1] == 31

@@ -1,0 +1,81 @@
+"""Source hygiene, checked by parsing the code (standard library only).
+
+Every import in src/ and tests/ is used, and src/skewdyck has exactly the
+defaulted parameters listed in DEFAULTED, counting dataclass fields with a
+default as parameters of the generated __init__.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "skewdyck"
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+DEFAULTED = {
+    "cli.build_parser.common(order_cap)",
+    "cli.build_parser.common(order_help)",
+    "rings.TPoly.__init__(coeffs)",
+    "series.solve_algebraic(schedule)",
+}
+
+
+def _imported_names(tree):
+    """(bound name, line) for each import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # re-exports listed in __all__
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _defaulted(node, scope):
+    """Qualified 'module.scope.function(param)' for each defaulted parameter."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{scope}.{child.name}"
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults) :]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{name}({a.arg})" for a in with_default)
+            yield from _defaulted(child, name)
+        elif isinstance(child, ast.ClassDef):
+            name = f"{scope}.{child.name}"
+            decorators = {ast.unparse(d).partition("(")[0] for d in child.decorator_list}
+            if "dataclass" in decorators:
+                for stmt in child.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                        yield f"{name}.__init__({stmt.target.id})"
+            yield from _defaulted(child, name)
+        else:
+            yield from _defaulted(child, scope)
+
+
+def test_defaulted_parameters_are_the_allowed_ones():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(_defaulted(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert found == DEFAULTED

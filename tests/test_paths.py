@@ -10,7 +10,6 @@ from skewdyck.paths import (
     Rule,
     SkewPath,
     Step,
-    count_udr,
     enumerate_paths,
     parse_word,
     render_svg,
@@ -21,9 +20,23 @@ from skewdyck.paths import (
 U, D, R = Step.UP, Step.DOWN_BLACK, Step.DOWN_RED
 
 
+def count_udr(word):
+    """Number of contiguous Up, DownBlack, DownRed factors, by a scan that
+    shares no code with the walk behind udr_profile and enumerate_paths.
+
+    Occurrences cannot overlap: a DownRed is never followed by Up in a
+    valid word, so consecutive matches are at least three steps apart.
+    """
+    return sum(
+        1
+        for i in range(len(word) - 2)
+        if word[i] is U and word[i + 1] is D and word[i + 2] is R
+    )
+
+
 def independent_check(word):
     """Validity via string rules, sharing no code with validate()."""
-    text = "".join(s.letter for s in word)
+    text = "".join("UDR"[s] for s in word)
     if "UR" in text or "RU" in text:
         return False
     level = 0
@@ -36,44 +49,40 @@ def independent_check(word):
 
 class TestValidate:
     def test_empty_word_valid(self):
-        assert validate([]).valid
+        assert validate([]) is None
 
     def test_up_red_factor(self):
-        report = validate([U, R])
-        assert not report.valid
-        assert report.violation.rule is Rule.UP_RED
-        assert report.violation.index == 0
+        violation = validate([U, R])
+        assert violation.rule is Rule.UP_RED
+        assert violation.index == 0
 
     def test_below_axis(self):
-        report = validate([D])
-        assert not report.valid
-        assert report.violation.rule is Rule.BELOW_AXIS
-        assert report.violation.index == 0
+        violation = validate([D])
+        assert violation.rule is Rule.BELOW_AXIS
+        assert violation.index == 0
 
     def test_valid_path(self):
-        report = validate([U, U, D, R])
-        assert report.valid
+        assert validate([U, U, D, R]) is None
         path = SkewPath((U, U, D, R))
-        assert path.end_level == 0
+        assert path.levels[-1] == 0
 
     def test_red_up_factor(self):
-        report = validate([U, U, D, R, U])
-        assert not report.valid
-        assert report.violation.rule is Rule.RED_UP
-        assert report.violation.index == 3
+        violation = validate([U, U, D, R, U])
+        assert violation.rule is Rule.RED_UP
+        assert violation.index == 3
 
     def test_axis_beats_factor_at_same_index(self):
-        report = validate([R, U])
-        assert report.violation.rule is Rule.BELOW_AXIS
+        violation = validate([R, U])
+        assert violation.rule is Rule.BELOW_AXIS
 
     def test_exhaustive_against_independent_rules(self):
         for m in range(9):
             for word in itertools.product((U, D, R), repeat=m):
-                assert validate(word).valid == independent_check(word), word
+                assert (validate(word) is None) == independent_check(word), word
 
     @given(st.lists(st.sampled_from([U, D, R]), min_size=9, max_size=14))
     def test_random_words_against_independent_rules(self, word):
-        assert validate(word).valid == independent_check(word)
+        assert (validate(word) is None) == independent_check(word)
 
 
 class TestCountUdr:
@@ -101,28 +110,26 @@ class TestCountUdr:
 
 class TestEnumerate:
     def test_length_zero(self):
-        paths = list(enumerate_paths(0))
-        assert len(paths) == 1
-        assert len(paths[0]) == 0
+        assert list(enumerate_paths(0)) == [((), 0, 0)]
 
     def test_length_four_total(self):
         assert len(list(enumerate_paths(4))) == 7
 
     def test_length_four_closed_avoiding(self):
-        words = [p.word() for p in enumerate_paths(4, end_level=0, forbid_udr=True)]
-        assert words == ["UUDD", "UDUD"]
+        words = [word for word, level, udr in enumerate_paths(4) if level == 0 and not udr]
+        assert words == [(U, U, D, D), (U, D, U, D)]
 
     def test_length_six_closed_avoiding(self):
-        assert len(list(enumerate_paths(6, end_level=0, forbid_udr=True))) == 6
+        assert sum(1 for _, level, udr in enumerate_paths(6) if level == 0 and not udr) == 6
 
     def test_lexicographic_order(self):
-        paths = list(enumerate_paths(5))
-        keys = [tuple(int(s) for s in p.steps) for p in paths]
+        keys = [tuple(int(s) for s in word) for word, _, _ in enumerate_paths(5)]
         assert keys == sorted(keys)
 
     def test_unreachable_end_level_yields_nothing(self):
-        assert list(enumerate_paths(3, end_level=10)) == []
-        assert list(enumerate_paths(0, end_level=2)) == []
+        # Three steps end at level 1 or 3, never at an even level or above 3.
+        assert {level for _, level, _ in enumerate_paths(3)} == {1, 3}
+        assert [level for _, level, _ in enumerate_paths(0)] == [0]
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -135,15 +142,15 @@ class TestEnumerate:
             brute = sum(
                 1
                 for word in itertools.product((U, D, R), repeat=m)
-                if validate(word).valid
+                if validate(word) is None
             )
             assert len(list(enumerate_paths(m))) == brute
 
     def test_yields_satisfy_invariants(self):
-        for p in enumerate_paths(7):
-            assert min(p.levels) >= 0
-            assert validate(p.steps).valid
-            assert p.udr_count == count_udr(p.steps)
+        for word, level, udr in enumerate_paths(7):
+            assert validate(word) is None
+            assert level == sum(s.displacement for s in word)
+            assert udr == count_udr(word)
 
 
 class TestUdrProfile:
@@ -154,7 +161,7 @@ class TestUdrProfile:
         for m in range(9):
             seen = {}
             for word in itertools.product((U, D, R), repeat=m):
-                if validate(word).valid:
+                if validate(word) is None:
                     counter = seen.setdefault(sum(s.displacement for s in word), {})
                     j = count_udr(word)
                     counter[j] = counter.get(j, 0) + 1
@@ -175,22 +182,22 @@ class TestSkewPath:
 
 class TestRenderSvg:
     def test_empty_path(self):
-        svg = render_svg(SkewPath(()))
+        svg = render_svg(SkewPath(()), 24)
         assert svg.startswith("<?xml")
         assert 'width="48"' in svg
 
     def test_two_segments_second_black(self):
-        svg = render_svg(SkewPath((U, D)))
+        svg = render_svg(SkewPath((U, D)), 24)
         strokes = re.findall(r'stroke="([^"]+)"', svg)
         # axis + 2 segments
         assert len(strokes) == 3
         assert strokes[2] == "#000000"
 
     def test_red_stroke_on_fourth_segment(self):
-        svg = render_svg(SkewPath((U, U, D, R)))
+        svg = render_svg(SkewPath((U, U, D, R)), 24)
         strokes = re.findall(r'stroke="([^"]+)"', svg)
         assert strokes[1:] == ["#000000"] * 3 + ["#cc0022"]
 
     def test_deterministic(self):
         p = SkewPath((U, U, D, R))
-        assert render_svg(p) == render_svg(p)
+        assert render_svg(p, 24) == render_svg(p, 24)

@@ -1,4 +1,4 @@
-"""Differential tests: the integer engine against a slow Fraction reference.
+"""Differential tests: the integer engine against slow references.
 
 The reference below is the generic engine the package used to run:
 schoolbook products, an O(N^2) inverse, inverse-then-multiply division
@@ -6,7 +6,8 @@ and Newton iteration with the derivative at full precision, all over
 exact rationals.  Q[t] elements are tuples of Fractions.  It shares only
 the equations' coefficient data with the package, not any arithmetic,
 so every coefficient the fast path produces is checked against an
-independent computation.
+independent computation.  A second solver, by undetermined coefficients,
+checks the Newton solver inside the integer engine.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from skewdyck import holonomic
 from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_cubic, marker_series
 from skewdyck.kernel import GFMode, boundary_constants, kernel_equation, kernel_root
 from skewdyck.rings import QQ, TPoly
-from skewdyck.series import DivisionByNonUnit, ZSeries, divide
+from skewdyck.series import DivisionByNonUnit, ZSeries, divide, solve_algebraic
 
 
 class RefQ:
@@ -168,6 +169,26 @@ def ref_boundary_constants(R, mode, order):
     }
 
 
+def solve_undetermined(eq, s0, order):
+    """Order-by-order coefficient extraction; independent of Newton.
+
+    The z^n coefficient of P(s) is linear in s_n with slope dP/dS(0, s0),
+    which is +1 or -1 and so its own inverse.  O(N) residual evaluations,
+    so only suitable for moderate orders; the solvers must agree
+    coefficient-for-coefficient.
+    """
+    ring = eq.ring
+    at_origin = ZSeries([s0], 1, ring)
+    d0 = eq.derivative().apply(at_origin).coeffs[0]
+    assert eq.apply(at_origin).is_zero() and ring.is_unit(d0)
+    coeffs = [ring.coerce(s0)]
+    for n in range(1, order):
+        probe = ZSeries(tuple(coeffs) + (ring.zero,), n + 1, ring)
+        r = eq.apply(probe).coeffs[n]
+        coeffs.append(-(d0 * r))
+    return ZSeries(tuple(coeffs), order, ring)
+
+
 RING = {GFMode.UNIVARIATE: RefQ, GFMode.BIVARIATE: RefQT}
 
 
@@ -204,6 +225,21 @@ class TestAgainstFractionReference:
 
     def test_avoidance_series_matches_recurrence_to_600(self):
         assert avoidance_series(600).integer_coefficients() == holonomic.extend([1, 1, 2, 6], 599)
+
+
+class TestUndeterminedCoefficients:
+    def test_schedules_agree(self):
+        eq = avoidance_cubic()
+        doubling = solve_algebraic(eq, 1, 33, schedule="doubling")
+        linear = solve_algebraic(eq, 1, 33, schedule="linear")
+        undetermined = solve_undetermined(eq, 1, 33)
+        assert doubling.coeffs == linear.coeffs == undetermined.coeffs
+
+    def test_schedules_agree_marker_ring(self):
+        eq = marker_cubic()
+        doubling = solve_algebraic(eq, 1, 12, schedule="doubling")
+        undetermined = solve_undetermined(eq, 1, 12)
+        assert doubling.coeffs == undetermined.coeffs
 
 
 int_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=9)
