@@ -122,3 +122,36 @@ GOLDEN = [
 def test_golden_stdout(command, fmt, want, capsys):
     assert run(COMMANDS[command] + ["--format", fmt]) == 0
     assert capsys.readouterr().out == want
+
+
+# render writes SVG only, so it has no --format and its cases stand apart.
+RENDER_GOLDEN = [
+    (
+        ["render", "UUDR"],
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="144" height="96" viewBox="0 0 144 96">\n'
+        '<line x1="24" y1="72" x2="120" y2="72" stroke="#bbbbbb" stroke-dasharray="4 4" stroke-width="1"/>\n'
+        '<line x1="24" y1="72" x2="48" y2="48" stroke="#000000" stroke-width="2" stroke-linecap="round"/>\n'
+        '<line x1="48" y1="48" x2="72" y2="24" stroke="#000000" stroke-width="2" stroke-linecap="round"/>\n'
+        '<line x1="72" y1="24" x2="96" y2="48" stroke="#000000" stroke-width="2" stroke-linecap="round"/>\n'
+        '<line x1="96" y1="48" x2="120" y2="72" stroke="#cc0022" stroke-width="2" stroke-linecap="round"/>\n'
+        '</svg>\n'
+    ),
+    (
+        ["render", "UUDR", "--unit-px", "10"],
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="60" height="40" viewBox="0 0 60 40">\n'
+        '<line x1="10" y1="30" x2="50" y2="30" stroke="#bbbbbb" stroke-dasharray="4 4" stroke-width="1"/>\n'
+        '<line x1="10" y1="30" x2="20" y2="20" stroke="#000000" stroke-width="2" stroke-linecap="round"/>\n'
+        '<line x1="20" y1="20" x2="30" y2="10" stroke="#000000" stroke-width="2" stroke-linecap="round"/>\n'
+        '<line x1="30" y1="10" x2="40" y2="20" stroke="#000000" stroke-width="2" stroke-linecap="round"/>\n'
+        '<line x1="40" y1="20" x2="50" y2="30" stroke="#cc0022" stroke-width="2" stroke-linecap="round"/>\n'
+        '</svg>\n'
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,want", RENDER_GOLDEN, ids=["render", "render-unit-px-10"])
+def test_render_golden_svg(argv, want, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
