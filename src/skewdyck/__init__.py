@@ -5,14 +5,11 @@ Independent computational routes (brute force, layered automaton, kernel
 method, algebraic series solver, holonomic recurrence and ODE,
 singularity-analysis asymptotics) are cross-verified against each other
 and against vendored golden values.
-"""
 
-from .automaton import Layer, count, layer_series
-from .cubics import avoidance_series, marker_series
-from .kernel import GFMode, boundary_constants, kernel_root, level_gf
-from .paths import SkewPath, Step, enumerate_paths, render_svg, validate
-from .rings import QQ, QT, TPoly
-from .series import AlgEquation, ZSeries, solve_algebraic
+The names in ``__all__`` are imported from their submodules on first
+access (PEP 562), so ``import skewdyck`` loads no submodule and the CLI
+loads only the modules a subcommand runs.
+"""
 
 __version__ = "0.1.0"
 
@@ -38,3 +35,41 @@ __all__ = [
     "solve_algebraic",
     "validate",
 ]
+
+# The submodule that defines each name in __all__.
+_SOURCE = {
+    "AlgEquation": "series",
+    "GFMode": "kernel",
+    "Layer": "automaton",
+    "QQ": "rings",
+    "QT": "rings",
+    "SkewPath": "paths",
+    "Step": "paths",
+    "TPoly": "rings",
+    "ZSeries": "series",
+    "avoidance_series": "cubics",
+    "boundary_constants": "kernel",
+    "count": "automaton",
+    "enumerate_paths": "paths",
+    "kernel_root": "kernel",
+    "layer_series": "automaton",
+    "level_gf": "kernel",
+    "marker_series": "cubics",
+    "render_svg": "paths",
+    "solve_algebraic": "series",
+    "validate": "paths",
+}
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

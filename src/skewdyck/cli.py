@@ -9,17 +9,17 @@ and every size has an upper cap below).
 
 The engine computes over Z and Z[t]; a rational --t-eval is applied
 only here, to the finished marker polynomials.
+
+Each subcommand imports the modules it runs when it runs, so start-up
+loads only argparse, `rings` and `paths` (for the verify cap).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
-from fractions import Fraction
 
-from . import asymptotics, automaton, cubics, holonomic, kernel, paths, verify
+from . import paths
 from .rings import TPoly
 
 DEFAULT_ORDER = 16
@@ -63,6 +63,8 @@ def _bounded_word(text: str) -> str:
 def _parse_t_eval(value: str):
     if value == "track" or value in T_NAMED:
         return value
+    from fractions import Fraction
+
     try:
         if "e" in value.lower():  # an exponent would make the value unbounded
             raise ValueError
@@ -90,6 +92,8 @@ def _emit(args, payload, rows, text_line) -> None:
     """Print `payload` as JSON, or one line per row of string cells: the
     cells joined by a tab (tsv) or laid out by `text_line` (text)."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload))
         return
     line = "\t".join if args.format == "tsv" else text_line
@@ -113,6 +117,8 @@ def _eval_tpoly(poly: TPoly, t_eval):
 
 
 def cmd_count(args) -> int:
+    from . import automaton
+
     result = _coeff_str(_eval_tpoly(automaton.count(args.length, args.level), args.t_eval))
     _emit(args, {"count": result, "t_mode": _t_mode_name(args.t_eval)}, [[result]], " ".join)
     return 0
@@ -121,15 +127,21 @@ def cmd_count(args) -> int:
 def cmd_series(args) -> int:
     order = args.order
     if args.half_length:
+        from . import cubics
+
         coeffs = cubics.avoidance_series(order).integer_coefficients()
         _emit_sequence(args, coeffs, "z(half)", "zero")
     else:
+        from . import kernel
+
         gf = kernel.level_gf(0, order, kernel.GFMode.UNIVARIATE)
         _emit_sequence(args, gf.integer_coefficients(), "z", "zero")
     return 0
 
 
 def cmd_bivariate(args) -> int:
+    from . import cubics
+
     series = cubics.marker_series(args.order).integer_coefficients()
     rows = [[str(x) for x in (r.coeffs or (0,))] for r in series]
     payload = {"sequence": rows, "variable": "z(half)", "t_mode": "track"}
@@ -141,6 +153,8 @@ def cmd_levels(args) -> int:
     if args.half_length and args.level % 2 != 0:
         print("--half-length requires an even level", file=sys.stderr)
         return 2
+    from . import kernel
+
     mode = kernel.GFMode.UNIVARIATE if args.t_eval == "zero" else kernel.GFMode.BIVARIATE
     gf = kernel.level_gf(args.level, args.order, mode)
     if mode is kernel.GFMode.BIVARIATE:
@@ -160,6 +174,10 @@ def _verify_text_line(row) -> str:
 
 
 def cmd_verify(args) -> int:
+    import dataclasses
+
+    from . import verify
+
     results = verify.run_all(oracle_depth=args.order)
     rows = [("PASS" if r.ok else "FAIL", r.name, r.detail) for r in results]
     _emit(args, [dataclasses.asdict(r) for r in results], rows, _verify_text_line)
@@ -171,6 +189,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_asympt(args) -> int:
+    from . import asymptotics, holonomic
+
     ns = args.n or list(ASYMPT_NS)
     coeffs = holonomic.extend([1, 1, 2, 6], max(max(ns), 3))
     rows = asymptotics.convergence_report(ns, coeffs)
@@ -280,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", type=_bounded_word, help=f"at most {RENDER_CAP} letters")
     p.add_argument("--unit-px", type=_bounded_int(1, UNIT_PX_CAP), default=24, help=f"1..{UNIT_PX_CAP}")
     p.add_argument("-o", "--output", default=None)
-    common(p)
     p.set_defaults(fn=cmd_render)
 
     return parser

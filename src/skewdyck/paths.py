@@ -16,9 +16,7 @@ functions it is used to check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 ORACLE_CAP = 24
 
@@ -61,8 +59,7 @@ class Rule(enum.Enum):
     RED_UP = "RedUp"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     index: int
     rule: Rule
 
@@ -88,23 +85,18 @@ def validate(word: Sequence[Step]) -> Optional[Violation]:
     return None
 
 
-@dataclass(frozen=True)
 class SkewPath:
     """A validated step word with its level profile."""
 
-    steps: tuple[Step, ...]
-
-    def __post_init__(self):
-        v = validate(self.steps)
+    def __init__(self, steps: tuple[Step, ...]):
+        v = validate(steps)
         if v is not None:
             raise ValueError(f"invalid word: {v.rule.value} at index {v.index}")
-
-    @cached_property
-    def levels(self) -> tuple[int, ...]:
-        out = [0]
-        for s in self.steps:
-            out.append(out[-1] + s.displacement)
-        return tuple(out)
+        self.steps = steps
+        levels = [0]
+        for s in steps:
+            levels.append(levels[-1] + s.displacement)
+        self.levels = tuple(levels)
 
     def __len__(self) -> int:
         return len(self.steps)

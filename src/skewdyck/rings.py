@@ -14,7 +14,6 @@ a finished Z[t] coefficient is evaluated for output.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 
@@ -125,6 +124,10 @@ def _to_int(x) -> int:
     """An int, or an integral Fraction converted to one."""
     if isinstance(x, int):
         return x
+    # Imported here: whoever made a Fraction has loaded fractions already,
+    # and the integer engine never needs it.
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise ValueError(f"{x} is not an integer")

@@ -263,6 +263,7 @@ class TestFlagErrors:
         ["count", "4", "0", "--t-eval", "1/" + "9" * (T_EVAL_DIGITS + 1)],
         ["render", "U" * (RENDER_CAP + 1)],
         ["render", "UR" * RENDER_CAP],
+        ["render", "UD", "--format", "json"],
     ],
 )
 def test_out_of_range_sizes_exit_2(argv, capsys):
