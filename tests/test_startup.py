@@ -19,11 +19,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 # Modules that no subcommand needs before it runs.
-HEAVY = [
+HEAVY = {
     f"skewdyck.{m}"
     for m in ("verify", "golden", "automaton", "kernel", "cubics", "series", "holonomic", "asymptotics")
-]
-HEAVY += ["dataclasses", "inspect", "fractions", "decimal", "json"]
+} | {"dataclasses", "inspect", "fractions", "decimal", "json"}
 
 
 def _python(code):
@@ -41,7 +40,7 @@ def _modules_after(code):
 def test_cli_import_loads_no_compute_module():
     _, bare = _modules_after("pass")
     _, loaded = _modules_after("import skewdyck.cli")
-    assert not (loaded - bare) & set(HEAVY)
+    assert not (loaded - bare) & HEAVY
 
 
 def test_package_import_loads_no_submodule():
