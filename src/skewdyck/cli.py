@@ -174,13 +174,11 @@ def _verify_text_line(row) -> str:
 
 
 def cmd_verify(args) -> int:
-    import dataclasses
-
     from . import verify
 
     results = verify.run_all(oracle_depth=args.order)
     rows = [("PASS" if r.ok else "FAIL", r.name, r.detail) for r in results]
-    _emit(args, [dataclasses.asdict(r) for r in results], rows, _verify_text_line)
+    _emit(args, [r._asdict() for r in results], rows, _verify_text_line)
     failed = sum(not r.ok for r in results)
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)

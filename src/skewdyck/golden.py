@@ -1,49 +1,47 @@
 """Vendored golden values: published series displays and OEIS terms.
 
-Everything is stored as plain text with provenance headers and loaded
-here; nothing is ever fetched from the network.
+Each accessor returns a fresh list built from a literal with its
+provenance; nothing is read from disk or fetched from the network.
 """
 
 from __future__ import annotations
 
-from importlib import resources
-from typing import List
 
-
-def _lines(name: str) -> List[str]:
-    text = resources.files("skewdyck.data").joinpath(name).read_text(encoding="utf-8")
-    return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-
-
-def a128729_terms() -> List[int]:
+def a128729_terms() -> list[int]:
     """First 20 terms of the half-length avoidance sequence."""
-    return [int(ln) for ln in _lines("a128729.txt")]
+    # OEIS A128729: skew Dyck paths of semilength n with no up-down-left
+    # factor (left steps encoded as red down-steps, so the factor is up,
+    # down, red-down).  Terms 0..8 are the published series display; the
+    # tail is generated by the 4th-order recurrence and cross-checked
+    # in-repo against the algebraic equation and the layered automaton.
+    return [
+        1, 1, 2, 6, 20, 71, 262, 994, 3852, 15183,
+        60686, 245412, 1002344, 4129012, 17135432, 71575350,
+        300690836, 1269662127, 5385593406, 22938095326,
+    ]
 
 
-def _rows(name: str) -> List[List[int]]:
-    rows = []
-    for ln in _lines(name):
-        label, _, body = ln.partition(":")
-        assert int(label) == len(rows), f"non-contiguous row {label} in {name}"
-        rows.append([int(tok) for tok in body.split()])
-    return rows
-
-
-def a128728_rows() -> List[List[int]]:
+def a128728_rows() -> list[list[int]]:
     """Marker triangle rows 0..7 (20 terms read by rows)."""
-    return _rows("a128728.txt")
+    # OEIS A128728: triangle read by rows; row n, column j = skew Dyck
+    # paths of semilength n with exactly j up-down-left factors.  Rows
+    # 0..6 are the published series display; row 7 is generated by the
+    # layered automaton and cross-checked in-repo against the algebraic
+    # equation.
+    return [
+        [1],
+        [1],
+        [2, 1],
+        [6, 4],
+        [20, 16],
+        [71, 64, 2],
+        [262, 261, 20],
+        [994, 1084, 141],
+    ]
 
 
-def level0_display() -> List[int]:
-    """Published half-length display of the avoidance series (9 terms)."""
-    return [int(tok) for tok in _lines("level0_series.txt")[0].split()]
-
-
-def utilde_display() -> List[int]:
+def utilde_display() -> list[int]:
     """Published kernel-root display as utilde coefficients, z^0..z^14."""
-    return [int(tok) for tok in _lines("u1_series.txt")[0].split()]
-
-
-def bivariate_display_rows() -> List[List[int]]:
-    """Published marker-polynomial rows 0..6 of the level-0 series."""
-    return _rows("bivariate_rows.txt")
+    # The kernel root u1 normalised as utilde = z * u1; u1 itself is
+    # 1/z - z - z^3 - 2 z^5 - 6 z^7 - 20 z^9 - 71 z^11 - 262 z^13 - ...
+    return [1, 0, -1, 0, -1, 0, -2, 0, -6, 0, -20, 0, -71, 0, -262]

@@ -16,7 +16,8 @@ functions it is used to check.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 ORACLE_CAP = 24
 
@@ -59,12 +60,10 @@ class Rule(enum.Enum):
     RED_UP = "RedUp"
 
 
-class Violation(NamedTuple):
-    index: int
-    rule: Rule
+Violation = namedtuple("Violation", "index rule")
 
 
-def validate(word: Sequence[Step]) -> Optional[Violation]:
+def validate(word: Sequence[Step]) -> Violation | None:
     """Check the three validity rules: None for a valid word, else the
     earliest violation.
 

@@ -194,13 +194,6 @@ class ZSeries:
         out = self.coeffs[0::2]
         return ZSeries._raw(out, (self.order + 1) // 2, self.ring)
 
-    def evaluate_t(self, t_value) -> "ZSeries":
-        """Evaluate marker-polynomial coefficients at an integer t."""
-        if self.ring is not QT:
-            raise RingMismatch("evaluate_t requires the Z[t] coefficient ring")
-        t_value = QQ.coerce(t_value)
-        return ZSeries._raw(tuple(c(t_value) for c in self.coeffs), self.order, QQ)
-
     # -- output -------------------------------------------------------
 
     def integer_coefficients(self):
@@ -303,8 +296,8 @@ class AlgEquation:
         return AlgEquation(polys, self.ring)
 
     def evaluate_t(self, t_value) -> "AlgEquation":
-        """Evaluate marker-polynomial coefficients at an integer t; the
-        equation-level twin of ZSeries.evaluate_t."""
+        """Evaluate marker-polynomial coefficients at an integer t, giving
+        the equation over Z (the t = 0 cubics are derived this way)."""
         if self.ring is not QT:
             raise RingMismatch("evaluate_t requires the Z[t] coefficient ring")
         t_value = QQ.coerce(t_value)

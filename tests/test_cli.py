@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import automaton, holonomic
+from skewdyck import automaton, golden, holonomic
 from skewdyck.cli import (
     ASYMPT_CAP,
     BIVARIATE_CAP,
@@ -145,6 +145,50 @@ class TestVerify:
         assert len(lines) == 12
         assert all(line.startswith("PASS") for i, line in enumerate(lines) if i not in (0, 5))
         assert err == "2 check(s) failed\n"
+
+    @pytest.mark.parametrize(
+        "accessor, n, wrong, line_no, line",
+        [
+            ("utilde_display", 6, -3, 2, "FAIL kernel-root-display  (at n=6: kernel -2 vs golden -3)"),
+            ("a128729_terms", 3, 7, 3, "FAIL series-vs-golden  (at n=3: solver 6 vs golden 7)"),
+            (
+                "a128728_rows",
+                5,
+                [71, 64, 3],
+                4,
+                "FAIL bivariate-vs-golden  (at n=5: solver [71, 64, 2] vs golden [71, 64, 3])",
+            ),
+        ],
+    )
+    def test_one_wrong_golden_term_fails_only_its_check(
+        self, capout, monkeypatch, accessor, n, wrong, line_no, line
+    ):
+        values = getattr(golden, accessor)()
+        values[n] = wrong
+        monkeypatch.setattr(golden, accessor, lambda: values)
+        code, out, err = capout("verify", "--order", "8")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[line_no] == line
+        assert len(lines) == 12
+        assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != line_no)
+        assert err == "1 check(s) failed\n"
+
+    def test_wrong_recurrence_term_names_index_and_values(self, capout, monkeypatch):
+        extend = holonomic.extend
+
+        def off_at_4(initial, n):
+            seq = extend(initial, n)
+            seq[4] += 1
+            return seq
+
+        monkeypatch.setattr(holonomic, "extend", off_at_4)
+        code, out, err = capout("verify", "--order", "8")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[8] == "FAIL recurrence-vs-solver  (at n=4: recurrence 21 vs solver 20)"
+        assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != 8)
+        assert err == "1 check(s) failed\n"
 
 
 class TestAsympt:

@@ -34,13 +34,7 @@ def _imported_names(tree):
 
 
 def _used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):  # re-exports listed in __all__
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(elt.value for elt in node.value.elts)
-    return used
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -1,11 +1,13 @@
 """Start-up cost: what `import skewdyck` and `import skewdyck.cli` load.
 
 The CLI imports each subcommand's modules when the subcommand runs, and
-the package resolves its exported names on first access (PEP 562).  The
-footprint tests run fresh interpreters, because this test process has
-long since loaded every module.
+the package root imports no submodule.  The footprint tests run fresh
+interpreters, because this test process has long since loaded every
+module, and run them with `-S`, so that a module a site `.pth` file
+preloads cannot hide an import.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -22,11 +24,38 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 HEAVY = {
     f"skewdyck.{m}"
     for m in ("verify", "golden", "automaton", "kernel", "cubics", "series", "holonomic", "asymptotics")
-} | {"dataclasses", "inspect", "fractions", "decimal", "json"}
+} | {"dataclasses", "inspect", "fractions", "decimal", "json", "typing", "importlib.resources"}
+
+# The names the package root once re-exported, and the submodule that
+# defines each.
+PUBLIC = {
+    "AlgEquation": "series",
+    "GFMode": "kernel",
+    "Layer": "automaton",
+    "QQ": "rings",
+    "QT": "rings",
+    "SkewPath": "paths",
+    "Step": "paths",
+    "TPoly": "rings",
+    "ZSeries": "series",
+    "avoidance_series": "cubics",
+    "boundary_constants": "kernel",
+    "count": "automaton",
+    "enumerate_paths": "paths",
+    "kernel_root": "kernel",
+    "layer_series": "automaton",
+    "level_gf": "kernel",
+    "marker_series": "cubics",
+    "render_svg": "paths",
+    "solve_algebraic": "series",
+    "validate": "paths",
+}
 
 
 def _python(code):
-    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True, timeout=60
+    )
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -55,6 +84,12 @@ def test_half_length_series_loads_only_its_route():
     assert not loaded & {"skewdyck.kernel", "skewdyck.automaton", "skewdyck.verify"}
 
 
+def test_verify_loads_no_dataclasses_or_resource_reader():
+    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['verify', '--order', '5'])")
+    assert proc.stdout.count("PASS ") == 12
+    assert not loaded & {"dataclasses", "importlib.resources"}
+
+
 def test_console_script_entry_point():
     proc = _python(
         "import sys\nfrom skewdyck.cli import main\n"
@@ -64,21 +99,16 @@ def test_console_script_entry_point():
 
 
 class TestLazyPackage:
-    @pytest.mark.parametrize("name", skewdyck.__all__)
-    def test_name_is_the_defining_modules_object(self, name):
-        value = getattr(skewdyck, name)
-        module = value.__module__  # an instance such as QQ answers for its class
-        assert module.startswith("skewdyck.")
-        assert getattr(sys.modules[module], name) is value
+    """Each name is reached through the submodule that defines it; the
+    package root binds none of them."""
 
-    def test_dir_lists_all(self):
-        assert set(skewdyck.__all__) <= set(dir(skewdyck))
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    def test_name_is_the_defining_modules_object(self, name):
+        module = importlib.import_module(f"skewdyck.{PUBLIC[name]}")
+        # an instance such as QQ answers for its class
+        assert getattr(module, name).__module__ == module.__name__
+        assert not hasattr(skewdyck, name)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
             skewdyck.frobnicate
-
-    def test_star_import_binds_every_name(self):
-        namespace = {}
-        exec("from skewdyck import *", namespace)
-        assert set(skewdyck.__all__) <= set(namespace)
