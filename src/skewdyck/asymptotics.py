@@ -15,7 +15,7 @@ digits, and growth^n overflows a double near n = 460.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import cubics
 
@@ -91,7 +91,7 @@ def coefficient_ratio(n: int, coefficients: Sequence[int]) -> float:
 def convergence_report(
     n_values: Sequence[int],
     coefficients: Sequence[int],
-) -> List[Tuple[int, int, Optional[float], float]]:
+) -> list[tuple[int, int, float | None, float]]:
     """Rows (n, s_n, estimate or None past double range, ratio)."""
     rows = []
     for n in n_values:

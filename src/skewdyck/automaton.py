@@ -18,7 +18,7 @@ separate forbidding or totalling automaton.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Tuple
+from collections.abc import Iterator
 
 from .rings import QT, T, TPoly
 from .series import ZSeries
@@ -31,18 +31,16 @@ class Layer(enum.Enum):
     K = "K"
 
 
-StateVector = Dict[Tuple[Layer, int], TPoly]
-
 _ONE = TPoly(1)
 
 
-def initial_state() -> StateVector:
+def initial_state() -> dict[tuple[Layer, int], TPoly]:
     return {(Layer.F, 0): _ONE}
 
 
-def step(state: StateVector) -> StateVector:
+def step(state: dict[tuple[Layer, int], TPoly]) -> dict[tuple[Layer, int], TPoly]:
     """One automaton step; the G -> K edge carries the marker t."""
-    new: StateVector = {}
+    new = {}
 
     def add(layer, level, weight):
         key = (layer, level)
@@ -68,7 +66,7 @@ def step(state: StateVector) -> StateVector:
     return new
 
 
-def walk(length: int) -> Iterator[StateVector]:
+def walk(length: int) -> Iterator[dict[tuple[Layer, int], TPoly]]:
     """The states after 0, 1, ..., length steps, each computed once."""
     state = initial_state()
     yield state
@@ -77,15 +75,15 @@ def walk(length: int) -> Iterator[StateVector]:
         yield state
 
 
-def run(length: int) -> StateVector:
+def run(length: int) -> dict[tuple[Layer, int], TPoly]:
     for state in walk(length):
         pass
     return state
 
 
-def by_level(state: StateVector) -> Dict[int, TPoly]:
+def by_level(state: dict[tuple[Layer, int], TPoly]) -> dict[int, TPoly]:
     """The weights of a state summed over its layers, keyed by level."""
-    out: Dict[int, TPoly] = {}
+    out = {}
     for (_, level), w in state.items():
         out[level] = out[level] + w if level in out else w
     return out

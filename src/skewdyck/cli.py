@@ -5,7 +5,9 @@ Output is byte-stable for fixed flags; JSON payloads follow the schema
 {"sequence": [...decimal strings...], "variable": "z"|"z(half)",
 "t_mode": <track|zero|one|rational>}.  Exit codes: 0 success, 1 failed
 verification, 2 flag errors (argparse rejects every out-of-range size,
-and every size has an upper cap below).
+and every size has an upper cap below).  A reader that closes the pipe
+early, as `skewdyck bivariate --order 200 | head -1` does, ends the
+command quietly with exit 0 and no traceback.
 
 The engine computes over Z and Z[t]; a rational --t-eval is applied
 only here, to the finished marker polynomials.
@@ -309,7 +311,18 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early, as `| head` does; that is no
+        # error.  Point stdout at devnull so that the flush at exit cannot
+        # raise again (the recipe in the Python docs for SIGPIPE).
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,12 +7,18 @@ transcribed a second time.  The transformed cubic in U is the same
 object reached through the substitution chain from the kernel root,
 with Z standing for z^2; the half-length series must satisfy it as
 well.
+
+avoidance_series and marker_series each solve their cubic once per
+process (series.solve_once): the longest series solved so far is kept,
+and a smaller order is its truncation.  The equation builders are not
+cached, so solve_algebraic(avoidance_cubic(), 1, N) is always a cold
+solve.
 """
 
 from __future__ import annotations
 
 from .rings import QQ, QT, T
-from .series import AlgEquation, ZSeries, solve_algebraic
+from .series import AlgEquation, ZSeries, solve_once
 
 
 def marker_cubic() -> AlgEquation:
@@ -50,9 +56,9 @@ def transformed_cubic() -> AlgEquation:
 
 def avoidance_series(order: int) -> ZSeries:
     """Half-length avoidance series 1, 1, 2, 6, 20, 71, ..."""
-    return solve_algebraic(avoidance_cubic(), 1, order)
+    return solve_once("avoidance", avoidance_cubic, order)
 
 
 def marker_series(order: int) -> ZSeries:
     """Half-length marker-refined series with TPoly coefficients."""
-    return solve_algebraic(marker_cubic(), 1, order)
+    return solve_once("marker", marker_cubic, order)

@@ -10,7 +10,7 @@ division or a nonzero residual rather than drift.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections.abc import Sequence
 
 from .rings import QQ
 from .series import ZSeries
@@ -48,7 +48,7 @@ def p4(n: int) -> int:
 RECURRENCE_ORDER = 4
 
 
-def extend(initial: Sequence[int], n_max: int) -> List[int]:
+def extend(initial: Sequence[int], n_max: int) -> list[int]:
     """Terms s_0..s_{n_max} from four initial terms.
 
     Each step divides exactly by p4(n) > 0; a nonzero remainder raises
@@ -69,7 +69,7 @@ def extend(initial: Sequence[int], n_max: int) -> List[int]:
     return s
 
 
-def recurrence_residual(seq: Sequence[int]) -> List[int]:
+def recurrence_residual(seq: Sequence[int]) -> list[int]:
     """Exact residual of the recurrence at each applicable n."""
     if len(seq) < RECURRENCE_ORDER + 1:
         raise ValueError("need at least five terms")

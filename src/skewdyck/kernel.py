@@ -21,6 +21,11 @@ origin with Puiseux behavior and are not representable as power series.
 The boundary constants and the level series are then obtained purely by
 series arithmetic, with exact valuation cancellations where a formula
 has a z power in front.
+
+kernel_root solves the cubic once per process and mode
+(series.solve_once): the longest root solved so far is kept, and every
+smaller order is its truncation, so the boundary constants and all the
+level series of one process share one Newton solve per mode.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 
 from .rings import QT, T
-from .series import AlgEquation, ZSeries, divide, solve_algebraic
+from .series import AlgEquation, DivisionByNonUnit, ZSeries, divide, solve_once
 
 
 class GFMode(enum.Enum):
@@ -54,7 +59,7 @@ def kernel_root(order: int, mode: GFMode) -> ZSeries:
     """utilde modulo z^order, the root of the kernel cubic with constant term 1."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    return solve_algebraic(kernel_equation(mode), 1, order)
+    return solve_once(("kernel", mode), lambda: kernel_equation(mode), order)
 
 
 def boundary_constants(order: int, mode: GFMode):
@@ -85,13 +90,42 @@ def boundary_constants(order: int, mode: GFMode):
     }
 
 
+def inverse_power(s: ZSeries, k: int) -> ZSeries:
+    """s^(-k) for a series s with constant term 1, by J. C. P. Miller's
+    power recurrence (Knuth, TAOCP vol. 2, 4.7): g = s^a satisfies
+    s g' = a s' g, so with s_0 = 1
+
+        n g_n = sum_{j=1..n} ((a + 1) j - n) s_j g_{n-j},   a = -k,
+
+    O(N^2) ring operations for any k.  Each step divides exactly by n;
+    an inexact step raises DivisionByNonUnit.
+    """
+    ring = s.ring
+    f = s.coeffs
+    if f[0] != ring.one:
+        raise DivisionByNonUnit("constant term is not 1")
+    g = [ring.one]
+    for n in range(1, s.order):
+        acc = ring.zero
+        for j in range(1, n + 1):
+            c = (1 - k) * j - n
+            if c and f[j] and g[n - j]:
+                acc = acc + f[j] * c * g[n - j]
+        gn = ring.divexact(acc, n)
+        if gn is None:
+            raise DivisionByNonUnit(f"{acc} is not divisible by {n} at z^{n}")
+        g.append(gn)
+    return ZSeries._raw(tuple(g), s.order, ring)
+
+
 def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
     """Series of paths ending at level k: (1 - utilde) z^(k-2) / utilde^k.
 
     1 - utilde has valuation 2, so the z^-2 is an exact cancellation and
     the result is a power series with valuation >= k.  Only the first
     order - k coefficients of the quotient survive the shift by z^k, so
-    the root is needed only modulo z^(order - k + 2).
+    the root is needed only modulo z^(order - k + 2).  For k >= 2,
+    utilde^(-k) comes from Miller's power recurrence (inverse_power).
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
@@ -100,8 +134,10 @@ def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
         return ZSeries((), order, kernel_equation(mode).ring)
     ut = kernel_root(keep + 2, mode)
     base = divide(1 - ut, ZSeries([0, 0, 1], keep + 2, ut.ring))
-    if k:
-        base = divide(base, ut.truncate(keep) ** k)
+    if k == 1:  # one division costs half the recurrence and its product
+        base = divide(base, ut.truncate(keep))
+    elif k:
+        base = base * inverse_power(ut.truncate(keep), k)
     return base.shift(k)
 
 

@@ -50,15 +50,30 @@ class TPoly:
             return self.coeffs == TPoly(other).coeffs
         return NotImplemented
 
+    @classmethod
+    def _raw(cls, coeffs: tuple) -> "TPoly":
+        """Internal constructor for an already stripped tuple of ints."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    # With a zero operand, + and * return an operand: TPoly is immutable.
+
     def __neg__(self) -> "TPoly":
-        return TPoly(tuple(-c for c in self.coeffs))
+        return TPoly._raw(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
         if isinstance(other, int):
+            if not other:
+                return self
             other = TPoly(other)
-        if not isinstance(other, TPoly):
+        elif not isinstance(other, TPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         return TPoly(tuple(map(add, a, b)) + a[len(b) :])
@@ -77,17 +92,21 @@ class TPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TPoly(tuple(c * other for c in self.coeffs))
+            if not other:
+                return TPoly._raw(())
+            return TPoly._raw(tuple(c * other for c in self.coeffs))
         if not isinstance(other, TPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return TPoly()
+        if not self.coeffs:
+            return self
+        if not other.coeffs:
+            return other
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return TPoly(tuple(out))
+        return TPoly._raw(tuple(out))  # leading coefficients are nonzero
 
     __rmul__ = __mul__
 
@@ -170,9 +189,17 @@ class TPolyRing:
         return x.degree == 0 and x.coeffs[0] in (1, -1)
 
     def divexact(self, x, d):
-        """x / d if d is +1 or -1, else None: series over Z[t] are only
-        ever divided by a unit constant term."""
-        return x * d if self.is_unit(d) else None
+        """x / d if exact, else None, for d a unit TPoly (a constant term
+        in series division) or a nonzero int (kernel.inverse_power)."""
+        if isinstance(d, TPoly):
+            return x * d if self.is_unit(d) else None
+        out = []
+        for c in x.coeffs:
+            q, r = divmod(c, d)
+            if r:
+                return None
+            out.append(q)
+        return TPoly._raw(tuple(out))
 
 
 QQ = IntegerRing()

@@ -346,3 +346,16 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
         s = ZSeries._raw(s.coeffs[:k] + tuple(-c for c in step.coeffs), target, ring)
     return s
 
+
+_ROOTS = {}  # route key -> the longest root solved in this process
+
+
+def solve_once(key, equation, order: int) -> ZSeries:
+    """The root with constant term 1 of `equation()` mod z^order, served
+    as a truncation of the longest root kept under `key` (the root mod
+    z^N is unique), or solved afresh and kept when that one is shorter."""
+    order = max(order, 1)  # solve_algebraic returns its order-1 seed for any order <= 1
+    root = _ROOTS.get(key)
+    if root is None or root.order < order:
+        root = _ROOTS[key] = solve_algebraic(equation(), 1, order)
+    return root if root.order == order else root.truncate(order)

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,3 +378,24 @@ def test_argv_fuzz_exits_0_or_2(argv):
             code = exc.code
     assert code in (0, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bivariate", "--order", "30"], ["verify", "--order", "5", "--format", "json"], ["render", "UUDR"]],
+    ids=["bivariate", "verify-json", "render"],
+)
+def test_closed_pipe_ends_quietly_with_exit_0(argv):
+    """As in `skewdyck bivariate --order 200 | head -1`: the reader is gone,
+    here before the first write, so the outcome does not depend on timing."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewdyck", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

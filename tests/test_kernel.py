@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewdyck import golden
+from skewdyck import golden, series
 from skewdyck.automaton import count
 from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_series, transformed_cubic
 from skewdyck.kernel import (
@@ -8,11 +9,12 @@ from skewdyck.kernel import (
     boundary_constants,
     check_identity_total,
     kernel_equation,
+    inverse_power,
     kernel_root,
     level_gf,
 )
 from skewdyck.rings import QQ, TPoly
-from skewdyck.series import ZSeries
+from skewdyck.series import DivisionByNonUnit, ZSeries, divide
 
 
 class TestKernelRoot:
@@ -105,12 +107,28 @@ class TestBoundaryConstants:
     def test_small_orders_are_truncations(self, mode):
         full = boundary_constants(30, mode)
         for order in (1, 2):
+            series._ROOTS.clear()  # solve afresh rather than truncate the order-30 root
             got = boundary_constants(order, mode)
             for name in ("g0", "h0", "k0"):
                 assert got[name] == full[name].truncate(order), (order, name)
 
 
+def _level_gf_by_powers(k, order, mode):
+    """The former level_gf: divide by utilde^k formed by repeated squaring."""
+    keep = order - k
+    ut = kernel_root(keep + 2, mode)
+    base = divide(1 - ut, ZSeries([0, 0, 1], keep + 2, ut.ring))
+    if k:
+        base = divide(base, ut.truncate(keep) ** k)
+    return base.shift(k)
+
+
 class TestLevelGF:
+    @pytest.mark.parametrize("mode", list(GFMode))
+    def test_power_recurrence_matches_division_by_powers(self, mode):
+        for k in range(41):
+            assert level_gf(k, 60, mode) == _level_gf_by_powers(k, 60, mode), k
+
     def test_level0_equals_boundary_total(self):
         c = boundary_constants(16, GFMode.UNIVARIATE)
         total = 1 + c["g0"] + c["h0"] + c["k0"]
@@ -139,6 +157,25 @@ class TestLevelGF:
                 assert forb.coeffs[m] == count(m, k)(0), (k, m)
 
 
+class TestInversePower:
+    @given(st.lists(st.integers(min_value=-9, max_value=9), max_size=7), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=100)
+    def test_matches_inverse_of_power(self, tail, k):
+        s = ZSeries([1, *tail], 8, QQ)
+        got = inverse_power(s, k)
+        assert got == (s**k).inverse()
+        assert all(type(c) is int for c in got.coeffs)
+
+    def test_marker_ring(self):
+        s = marker_series(12)
+        assert inverse_power(s, 5) == (s**5).inverse()
+
+    @pytest.mark.parametrize("constant", [-1, 2, 0])
+    def test_needs_constant_term_one(self, constant):
+        with pytest.raises(DivisionByNonUnit):
+            inverse_power(ZSeries([constant, 1], 8, QQ), 2)
+
+
 class TestIdentities:
     def test_boundary_identity_univariate(self):
         assert check_identity_total(20, GFMode.UNIVARIATE)
@@ -160,7 +197,5 @@ class TestIdentities:
 
     def test_cancellation_div_example(self):
         ut = kernel_root(12, GFMode.UNIVARIATE)
-        from skewdyck.series import divide
-
         out = divide(1 - ut, ZSeries([0, 0, 1], 12, QQ))
         assert out.coeffs[:6] == (1, 0, 1, 0, 2, 0)

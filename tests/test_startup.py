@@ -90,6 +90,12 @@ def test_verify_loads_no_dataclasses_or_resource_reader():
     assert not loaded & {"dataclasses", "importlib.resources"}
 
 
+def test_verify_loads_no_typing():
+    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['verify', '--order', '5'])")
+    assert proc.stdout.count("PASS ") == 12
+    assert "typing" not in loaded
+
+
 def test_console_script_entry_point():
     proc = _python(
         "import sys\nfrom skewdyck.cli import main\n"
