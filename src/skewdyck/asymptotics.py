@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from . import cubics
-
 
 class MissingCoefficient(Exception):
     """Requested index beyond the supplied exact coefficients."""
@@ -35,6 +33,8 @@ def dominant_singularity_numeric() -> float:
     (cubics.avoidance_cubic, the one the series solver uses) to check
     the closed form Z0: the S-derivative of the cubic vanishes along
     S = (z + 1)/(3 z), and z0 is where the cubic itself vanishes there."""
+    from . import cubics  # imported here: asympt never solves a cubic
+
     polys = cubics.avoidance_cubic().coeff_polys
 
     def g(z: float) -> float:

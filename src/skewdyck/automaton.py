@@ -21,7 +21,6 @@ import enum
 from collections.abc import Iterator
 
 from .rings import QT, T, TPoly
-from .series import ZSeries
 
 
 class Layer(enum.Enum):
@@ -98,9 +97,11 @@ def count(length: int, end_level: int) -> TPoly:
     return by_level(run(length)).get(end_level, TPoly())
 
 
-def layer_series(layer: Layer, level: int, order: int) -> ZSeries:
-    """Generating series of one (layer, level) cell: the coefficient of
-    z^m is its marker-polynomial weight after m steps."""
+def layer_series(layer: Layer, level: int, order: int):
+    """Generating series (a ZSeries) of one (layer, level) cell: the
+    coefficient of z^m is its marker-polynomial weight after m steps."""
+    from .series import ZSeries  # imported here: count never builds a series
+
     if order < 1:
         raise ValueError("order must be >= 1")
     coeffs = [state.get((layer, level), TPoly()) for state in walk(order - 1)]

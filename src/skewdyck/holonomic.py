@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .rings import QQ
-from .series import ZSeries
 
 
 class NonIntegralStep(Exception):
@@ -83,8 +82,8 @@ def recurrence_residual(seq: Sequence[int]) -> list[int]:
     ]
 
 
-def ode_residual(s: ZSeries) -> ZSeries:
-    """Apply the 2nd-order operator to a series and return the residual.
+def ode_residual(s):
+    """Apply the 2nd-order operator to a ZSeries and return the residual.
 
     The operator is  a0 + a1 S + b1 S' + b2 S''  with
 
@@ -97,6 +96,8 @@ def ode_residual(s: ZSeries) -> ZSeries:
     rather than transcribed, and the residual is known modulo
     z^(order - 2) because of the two formal derivatives.
     """
+    from .series import ZSeries  # imported here: asympt never builds a series
+
     if s.order < 5:
         raise ValueError("series order must be at least 5")
     n = s.order

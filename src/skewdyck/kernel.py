@@ -141,8 +141,9 @@ def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
     return base.shift(k)
 
 
-def check_identity_total(order: int, mode: GFMode) -> bool:
-    """1 + g0 + h0 + k0 == (1 - utilde) / z^2 as exact truncated series."""
+def identity_total(order: int, mode: GFMode) -> tuple[ZSeries, ZSeries]:
+    """Both sides of 1 + g0 + h0 + k0 == (1 - utilde) / z^2, the level-0
+    series, as exact truncated series; they agree when the boundary
+    constants are right."""
     consts = boundary_constants(order, mode)
-    lhs = 1 + consts["g0"] + consts["h0"] + consts["k0"]
-    return lhs.agrees_with(level_gf(0, order, mode))
+    return 1 + consts["g0"] + consts["h0"] + consts["k0"], level_gf(0, order, mode)

@@ -153,13 +153,20 @@ def udr_profile(max_length: int):
     Returns hist with hist[m][level][j] = number of valid words of
     length m ending at `level` with exactly j pattern occurrences, all
     lengths tallied from one walk over the prefix tree of valid words.
+    Only nonzero counts appear.
+
+    The walk tallies into flat lists, counts[m][level][j]: a word of
+    length m ends at a level <= m and holds at most m // 3 disjoint
+    patterns, so every index is in range.
     """
     _check_length(max_length)
-    hist: list[dict[int, dict[int, int]]] = [dict() for _ in range(max_length + 1)]
+    counts = [[[0] * (m // 3 + 1) for _ in range(m + 1)] for m in range(max_length + 1)]
     for word, level, udr in _valid_words(max_length):
-        counter = hist[len(word)].setdefault(level, {})
-        counter[udr] = counter.get(udr, 0) + 1
-    return hist
+        counts[len(word)][level][udr] += 1
+    return [
+        {level: {j: c for j, c in enumerate(row) if c} for level, row in enumerate(rows) if any(row)}
+        for rows in counts
+    ]
 
 
 _RED = "#cc0022"

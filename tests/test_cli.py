@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import automaton, golden, holonomic
+from skewdyck import automaton, cubics, golden, holonomic, kernel
 from skewdyck.cli import (
     ASYMPT_CAP,
     BIVARIATE_CAP,
@@ -23,7 +23,8 @@ from skewdyck.cli import (
     run,
 )
 from skewdyck.paths import ORACLE_CAP
-from skewdyck.rings import TPoly
+from skewdyck.rings import QQ, QT, T, TPoly
+from skewdyck.series import AlgEquation, ZSeries
 
 
 @pytest.fixture
@@ -192,6 +193,70 @@ class TestVerify:
         assert lines[8] == "FAIL recurrence-vs-solver  (at n=4: recurrence 21 vs solver 20)"
         assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != 8)
         assert err == "1 check(s) failed\n"
+
+    @staticmethod
+    def _only_failure(capout, line_no, line):
+        code, out, err = capout("verify", "--order", "8")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[line_no] == line
+        assert len(lines) == 12
+        assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != line_no)
+        assert err == "1 check(s) failed\n"
+
+    def test_wrong_kernel_root_names_mode_power_and_residual(self, capout, monkeypatch):
+        kernel_root = kernel.kernel_root
+
+        def off_at_z7(order, mode):  # only the residual check asks for order 64
+            root = kernel_root(order, mode)
+            return root + ZSeries([0] * 7 + [3], order, root.ring) if order == 64 else root
+
+        monkeypatch.setattr(kernel, "kernel_root", off_at_z7)
+        self._only_failure(capout, 1, "FAIL kernel-residual  (univariate mode, at z^7: residual 3)")
+
+    def test_wrong_marker_series_names_mode_power_and_values(self, capout, monkeypatch):
+        marker_series = cubics.marker_series
+
+        def off_at_z5(order):  # only the collapse check asks for order 24
+            s = marker_series(order)
+            return s + ZSeries([0] * 5 + [T], order, s.ring) if order == 24 else s
+
+        monkeypatch.setattr(cubics, "marker_series", off_at_z5)
+        self._only_failure(
+            capout,
+            6,
+            "FAIL half-length-collapse  (bivariate mode, at n=5: kernel 71 + 64*t + 2*t^2 vs solver 71 + 65*t + 2*t^2)",
+        )
+
+    def test_wrong_transformed_cubic_names_power_and_residual(self, capout, monkeypatch):
+        transformed_cubic = cubics.transformed_cubic
+
+        def plus_2_z5():
+            polys = [list(p) for p in transformed_cubic().coeff_polys]
+            polys[0] += [0, 0, 2]
+            return AlgEquation(polys, QQ)
+
+        monkeypatch.setattr(cubics, "transformed_cubic", plus_2_z5)
+        self._only_failure(capout, 7, "FAIL transformed-cubic  (at Z^5: residual 2)")
+
+    def test_wrong_ode_input_names_power_and_residual(self, capout, monkeypatch):
+        ode_residual = holonomic.ode_residual
+        monkeypatch.setattr(holonomic, "ode_residual", lambda s: ode_residual(s + ZSeries([0, 0, 0, 1], s.order, QQ)))
+        self._only_failure(capout, 9, "FAIL ode-residual  (at z^2: residual 48)")
+
+    def test_wrong_boundary_constant_names_mode_power_and_values(self, capout, monkeypatch):
+        boundary_constants = kernel.boundary_constants
+
+        def k0_off_at_z6(order, mode):
+            consts = boundary_constants(order, mode)
+            if mode is kernel.GFMode.BIVARIATE:
+                consts["k0"] += ZSeries([0] * 6 + [T], order, QT)
+            return consts
+
+        monkeypatch.setattr(kernel, "boundary_constants", k0_off_at_z6)
+        self._only_failure(
+            capout, 10, "FAIL boundary-identity  (bivariate mode, at n=6: constants 6 + 5*t vs level-0 6 + 4*t)"
+        )
 
 
 class TestAsympt:

@@ -7,7 +7,7 @@ from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_series, tr
 from skewdyck.kernel import (
     GFMode,
     boundary_constants,
-    check_identity_total,
+    identity_total,
     kernel_equation,
     inverse_power,
     kernel_root,
@@ -178,10 +178,12 @@ class TestInversePower:
 
 class TestIdentities:
     def test_boundary_identity_univariate(self):
-        assert check_identity_total(20, GFMode.UNIVARIATE)
+        lhs, rhs = identity_total(20, GFMode.UNIVARIATE)
+        assert lhs.agrees_with(rhs)
 
     def test_boundary_identity_bivariate(self):
-        assert check_identity_total(14, GFMode.BIVARIATE)
+        lhs, rhs = identity_total(14, GFMode.BIVARIATE)
+        assert lhs.agrees_with(rhs)
 
     def test_half_length_collapse(self):
         lvl0 = level_gf(0, 40, GFMode.UNIVARIATE).compress_even()

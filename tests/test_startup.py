@@ -84,6 +84,18 @@ def test_half_length_series_loads_only_its_route():
     assert not loaded & {"skewdyck.kernel", "skewdyck.automaton", "skewdyck.verify"}
 
 
+def test_count_loads_no_series():
+    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['count', '0', '0'])")
+    assert proc.stdout == "[1]\n"
+    assert "skewdyck.series" not in loaded
+
+
+def test_asympt_loads_no_series_or_cubic():
+    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
+    assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
+    assert not loaded & {"skewdyck.series", "skewdyck.cubics"}
+
+
 def test_verify_loads_no_dataclasses_or_resource_reader():
     proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['verify', '--order', '5'])")
     assert proc.stdout.count("PASS ") == 12
