@@ -251,41 +251,45 @@ def build_parser() -> argparse.ArgumentParser:
         "write a negative rational with '=', as in --t-eval=-7/3"
     )
 
-    def common(p, order_cap=None, order_help="truncation order / number of terms"):
-        if order_cap is not None:
-            p.add_argument(
-                "--order",
-                type=_bounded_int(1, order_cap),
-                default=DEFAULT_ORDER,
-                help=f"{order_help}, 1..{order_cap}",
-            )
+    terms_help = "truncation order / number of terms"
+
+    def add_order(p, cap, help_text):
+        p.add_argument(
+            "--order", type=_bounded_int(1, cap), default=DEFAULT_ORDER, help=f"{help_text}, 1..{cap}"
+        )
+
+    def add_format(p):
         p.add_argument("--format", choices=("json", "text", "tsv"), default="text")
 
     p = sub.add_parser("count", help="paths of a given length and end level")
     p.add_argument("length", type=_bounded_int(0, COUNT_CAP), help=f"0..{COUNT_CAP}")
     p.add_argument("level", type=_bounded_int(0, COUNT_CAP), help=f"0..{COUNT_CAP}")
     p.add_argument("--t-eval", type=_parse_t_eval, default="track", help=t_eval_help)
-    common(p)
+    add_format(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("series", help="avoidance series at level 0")
-    common(p, SERIES_CAP)
+    add_order(p, SERIES_CAP, terms_help)
+    add_format(p)
     p.add_argument("--half-length", action="store_true")
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("bivariate", help="marker triangle rows at half-length")
-    common(p, BIVARIATE_CAP)
+    add_order(p, BIVARIATE_CAP, terms_help)
+    add_format(p)
     p.set_defaults(fn=cmd_bivariate)
 
     p = sub.add_parser("levels", help="generating series of paths ending at a level")
     p.add_argument("level", type=_bounded_int(0, LEVELS_CAP), help=f"0..{LEVELS_CAP}")
     p.add_argument("--t-eval", type=_parse_t_eval, default="track", help=t_eval_help)
     p.add_argument("--half-length", action="store_true")
-    common(p, LEVELS_CAP)
+    add_order(p, LEVELS_CAP, terms_help)
+    add_format(p)
     p.set_defaults(fn=cmd_levels)
 
     p = sub.add_parser("verify", help="run the full cross-check suite")
-    common(p, paths.ORACLE_CAP, "brute-force oracle depth")
+    add_order(p, paths.ORACLE_CAP, "brute-force oracle depth")
+    add_format(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("asympt", help="convergence report of exact vs asymptotic counts")
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help=f"half-length to report, 1..{ASYMPT_CAP} (repeatable)",
     )
-    common(p)
+    add_format(p)
     p.set_defaults(fn=cmd_asympt)
 
     p = sub.add_parser("render", help="render a path word (letters U, D, R) as SVG")

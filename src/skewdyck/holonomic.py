@@ -68,20 +68,6 @@ def extend(initial: Sequence[int], n_max: int) -> list[int]:
     return s
 
 
-def recurrence_residual(seq: Sequence[int]) -> list[int]:
-    """Exact residual of the recurrence at each applicable n."""
-    if len(seq) < RECURRENCE_ORDER + 1:
-        raise ValueError("need at least five terms")
-    return [
-        p0(n) * seq[n]
-        + p1(n) * seq[n + 1]
-        + p2(n) * seq[n + 2]
-        + p3(n) * seq[n + 3]
-        + p4(n) * seq[n + 4]
-        for n in range(len(seq) - RECURRENCE_ORDER)
-    ]
-
-
 def ode_residual(s):
     """Apply the 2nd-order operator to a ZSeries and return the residual.
 

@@ -121,10 +121,11 @@ def inverse_power(s: ZSeries, k: int) -> ZSeries:
 def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
     """Series of paths ending at level k: (1 - utilde) z^(k-2) / utilde^k.
 
-    1 - utilde has valuation 2, so the z^-2 is an exact cancellation and
-    the result is a power series with valuation >= k.  Only the first
-    order - k coefficients of the quotient survive the shift by z^k, so
-    the root is needed only modulo z^(order - k + 2).  For k >= 2,
+    1 - utilde has valuation 2, so the z^-2 is an exact cancellation (a
+    slice, once z^0 and z^1 are checked to vanish) and the result is a
+    power series with valuation >= k.  Only the first order - k
+    coefficients of the quotient survive the shift by z^k, so the root is
+    needed only modulo z^(order - k + 2).  For k >= 2,
     utilde^(-k) comes from Miller's power recurrence (inverse_power).
     """
     if k < 0:
@@ -133,7 +134,10 @@ def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
     if keep < 1:
         return ZSeries((), order, kernel_equation(mode).ring)
     ut = kernel_root(keep + 2, mode)
-    base = divide(1 - ut, ZSeries([0, 0, 1], keep + 2, ut.ring))
+    num = 1 - ut
+    if num.coeffs[0] or num.coeffs[1]:
+        raise DivisionByNonUnit("1 - utilde does not vanish below z^2")
+    base = ZSeries(num.coeffs[2:], keep, ut.ring)  # the division by z^2
     if k == 1:  # one division costs half the recurrence and its product
         base = divide(base, ut.truncate(keep))
     elif k:

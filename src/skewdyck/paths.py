@@ -1,11 +1,12 @@
 """Skew path words: validity rules, brute-force enumeration, and an SVG
 renderer.
 
-A path is a word over three steps: Up (+1), DownBlack (-1) and DownRed
-(-1, the encoded left step).  A word is valid when it never dips below
-the axis and never contains the factors Up-DownRed or DownRed-Up.  The
-contiguous factor Up-DownBlack-DownRed is the marked pattern: forbidden
-in avoidance counts, tallied by the marker t otherwise.
+A path is a word, a str over three letters: U (up, +1), D (down-black,
+-1) and R (down-red, -1, the encoded left step; `parse_word` also reads
+L as R).  A word is valid when it never dips below the axis and never
+contains the factors UR or RU.  The contiguous factor UDR is the marked
+pattern: forbidden in avoidance counts, tallied by the marker t
+otherwise.
 
 The enumerator here is the ground-truth oracle for every other module:
 it extends only valid prefixes and applies nothing but the local word
@@ -15,9 +16,8 @@ functions it is used to check.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 ORACLE_CAP = 24
 
@@ -26,44 +26,23 @@ class CapExceeded(Exception):
     """Requested brute-force length beyond the configured oracle cap."""
 
 
-class Step(enum.IntEnum):
-    # Integer values fix the lexicographic enumeration order.
-    UP = 0
-    DOWN_BLACK = 1
-    DOWN_RED = 2
-
-    @property
-    def displacement(self) -> int:
-        return 1 if self is Step.UP else -1
-
-
-_LETTER_TO_STEP = {
-    "U": Step.UP,
-    "D": Step.DOWN_BLACK,
-    "R": Step.DOWN_RED,
-    "L": Step.DOWN_RED,  # alias: the red step encodes the left step
-}
-
-
-def parse_word(text: str) -> tuple[Step, ...]:
-    steps = []
-    for ch in text.strip().upper():
-        if ch not in _LETTER_TO_STEP:
+def parse_word(text: str) -> str:
+    """The word a user typed, upper-cased, with L read as R."""
+    word = text.strip().upper()
+    for ch in word:
+        if ch not in "UDRL":
             raise ValueError(f"unknown step letter {ch!r} (expected U, D, R)")
-        steps.append(_LETTER_TO_STEP[ch])
-    return tuple(steps)
+    return word.replace("L", "R")
 
 
-class Rule(enum.Enum):
-    BELOW_AXIS = "BelowAxis"
-    UP_RED = "UpRed"
-    RED_UP = "RedUp"
+# The forbidden factors, each with the rule name a violation reports.
+_FACTOR_RULES = {"UR": "UpRed", "RU": "RedUp"}
 
-
+# rule is "BelowAxis", "UpRed" or "RedUp".
 Violation = namedtuple("Violation", "index rule")
 
 
-def validate(word: Sequence[Step]) -> Violation | None:
+def validate(word: str) -> Violation | None:
     """Check the three validity rules: None for a valid word, else the
     earliest violation.
 
@@ -72,29 +51,26 @@ def validate(word: Sequence[Step]) -> Violation | None:
     """
     level = 0
     for i, step in enumerate(word):
-        level += step.displacement
+        level += 1 if step == "U" else -1
         if level < 0:
-            return Violation(i, Rule.BELOW_AXIS)
-        if i + 1 < len(word):
-            nxt = word[i + 1]
-            if step is Step.UP and nxt is Step.DOWN_RED:
-                return Violation(i, Rule.UP_RED)
-            if step is Step.DOWN_RED and nxt is Step.UP:
-                return Violation(i, Rule.RED_UP)
+            return Violation(i, "BelowAxis")
+        rule = _FACTOR_RULES.get(word[i : i + 2])
+        if rule:
+            return Violation(i, rule)
     return None
 
 
 class SkewPath:
-    """A validated step word with its level profile."""
+    """A validated word with its level profile."""
 
-    def __init__(self, steps: tuple[Step, ...]):
+    def __init__(self, steps: str):
         v = validate(steps)
         if v is not None:
-            raise ValueError(f"invalid word: {v.rule.value} at index {v.index}")
+            raise ValueError(f"invalid word: {v.rule} at index {v.index}")
         self.steps = steps
         levels = [0]
         for s in steps:
-            levels.append(levels[-1] + s.displacement)
+            levels.append(levels[-1] + (1 if s == "U" else -1))
         self.levels = tuple(levels)
 
     def __len__(self) -> int:
@@ -108,17 +84,16 @@ def _check_length(length: int) -> None:
         raise ValueError("length must be nonnegative")
 
 
-def _valid_words(max_length: int) -> Iterator[tuple[tuple[Step, ...], int, int]]:
+def _valid_words(max_length: int) -> Iterator[tuple[str, int, int]]:
     """Yield (word, end level, pattern count) for every valid word of at
     most max_length steps, each word before its extensions and words of
-    one length in lexicographic step order (Up < DownBlack < DownRed).
+    one length in step order U < D < R (not Python's string order).
 
     Only valid prefixes are extended, so the search covers the prefix
     tree of valid words, not the full 3^length cube; every prefix of a
     valid word is itself valid.
     """
-    up, black, red = Step
-    stack = [((), 0, 0)]
+    stack = [("", 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
@@ -126,21 +101,20 @@ def _valid_words(max_length: int) -> Iterator[tuple[tuple[Step, ...], int, int]]
         word, level, udr = item
         if len(word) == max_length:
             continue
-        last = word[-1] if word else None
-        # Pushed in reverse so that Up is popped first.
+        last = word[-1:]
+        # Pushed in reverse so that U is popped first.
         if level:
-            if last is not up:
-                # DownRed after Up, DownBlack completes the pattern.
-                push((word + (red,), level - 1, udr + (word[-2:] == (up, black))))
-            push((word + (black,), level - 1, udr))
-        if last is not red:
-            push((word + (up,), level + 1, udr))
+            if last != "U":
+                # R after U, D completes the pattern.
+                push((word + "R", level - 1, udr + word.endswith("UD")))
+            push((word + "D", level - 1, udr))
+        if last != "R":
+            push((word + "U", level + 1, udr))
 
 
-def enumerate_paths(length: int) -> Iterator[tuple[tuple[Step, ...], int, int]]:
+def enumerate_paths(length: int) -> Iterator[tuple[str, int, int]]:
     """Yield (word, end level, pattern count) for every valid word of
-    exactly `length` steps, in lexicographic step order (Up < DownBlack
-    < DownRed)."""
+    exactly `length` steps, in step order U < D < R."""
     _check_length(length)
     for item in _valid_words(length):
         if len(item[0]) == length:
@@ -176,8 +150,7 @@ _BLACK = "#000000"
 def render_svg(path: SkewPath, unit_px: int) -> str:
     """Standalone SVG 1.1 drawing, one segment per step.
 
-    Up is drawn as (+1,+1); both down steps as (+1,-1), the red one in
-    the red stroke.  Output is byte-stable for fixed inputs.
+    U is drawn as (+1,+1); D and R as (+1,-1), R in the red stroke.  Output is byte-stable for fixed inputs.
     """
     margin = unit_px
     top = max(path.levels) if path.levels else 0
@@ -202,7 +175,7 @@ def render_svg(path: SkewPath, unit_px: int) -> str:
         lines.append(
             f'<line x1="{x(i)}" y1="{y(path.levels[i])}" '
             f'x2="{x(i + 1)}" y2="{y(path.levels[i + 1])}" '
-            f'stroke="{_RED if step is Step.DOWN_RED else _BLACK}" stroke-width="2" '
+            f'stroke="{_RED if step == "R" else _BLACK}" stroke-width="2" '
             f'stroke-linecap="round"/>'
         )
     lines.append("</svg>")

@@ -46,8 +46,6 @@ class TPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, TPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == TPoly(other).coeffs
         return NotImplemented
 
     @classmethod

@@ -67,8 +67,7 @@ def test_03_oracle_equivalence_to_length_20():
 def test_04_theorem_equivalence_levels():
     for mode in (GFMode.BIVARIATE, GFMode.UNIVARIATE):
         gfs = [level_gf(k, 25, mode) for k in range(7)]
-        state = automaton.initial_state()
-        for m in range(25):
+        for m, state in enumerate(automaton.walk(24)):
             by_level = {}
             for (layer, level), w in state.items():
                 by_level[level] = by_level.get(level, TPoly()) + w
@@ -79,7 +78,6 @@ def test_04_theorem_equivalence_levels():
                     assert got == dp(0), (mode, k, m)
                 else:
                     assert got == dp, (mode, k, m)
-            state = automaton.step(state)
     report(4, "level generating functions equal DP counts for k <= 6, m <= 24, both modes")
 
 

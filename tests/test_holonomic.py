@@ -1,16 +1,23 @@
 import pytest
 
 from skewdyck.cubics import avoidance_series
-from skewdyck.holonomic import (
-    NonIntegralStep,
-    extend,
-    ode_residual,
-    recurrence_residual,
-)
+from skewdyck.holonomic import NonIntegralStep, extend, ode_residual, p0, p1, p2, p3, p4
 from skewdyck.rings import QQ
 from skewdyck.series import ZSeries
 
 INITIAL = [1, 1, 2, 6]
+
+
+def recurrence_residual(seq):
+    """Exact residual of the recurrence at each n with s_{n+4} in seq.
+
+    extend appends a term only when its division is exact, so this is 0
+    on everything extend returns; the tests apply it to other sequences.
+    """
+    return [
+        p0(n) * seq[n] + p1(n) * seq[n + 1] + p2(n) * seq[n + 2] + p3(n) * seq[n + 3] + p4(n) * seq[n + 4]
+        for n in range(len(seq) - 4)
+    ]
 
 
 class TestExtend:

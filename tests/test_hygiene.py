@@ -15,8 +15,6 @@ PACKAGE = ROOT / "src" / "skewdyck"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 DEFAULTED = {
-    "cli.build_parser.common(order_cap)",
-    "cli.build_parser.common(order_help)",
     "rings.TPoly.__init__(coeffs)",
     "series.solve_algebraic(schedule)",
 }

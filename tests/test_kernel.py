@@ -91,12 +91,12 @@ class TestBoundaryConstants:
         ]
 
     def test_g0_matches_layer_series(self):
-        from skewdyck.automaton import Layer, layer_series
+        from skewdyck.automaton import walk
 
         g0 = boundary_constants(12, GFMode.UNIVARIATE)["g0"]
-        dp = layer_series(Layer.G, 0, 12)
+        dp = [state.get(("G", 0), TPoly()) for state in walk(11)]
         for m in range(12):
-            assert dp.coeffs[m](0) == g0.coeffs[m]
+            assert dp[m](0) == g0.coeffs[m]
 
     def test_nonnegative_integer_coefficients(self):
         c = boundary_constants(14, GFMode.UNIVARIATE)

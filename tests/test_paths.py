@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from skewdyck.paths import (
     ORACLE_CAP,
     CapExceeded,
-    Rule,
     SkewPath,
-    Step,
     enumerate_paths,
     parse_word,
     render_svg,
@@ -17,30 +15,26 @@ from skewdyck.paths import (
     validate,
 )
 
-U, D, R = Step.UP, Step.DOWN_BLACK, Step.DOWN_RED
-
-
 def count_udr(word):
-    """Number of contiguous Up, DownBlack, DownRed factors, by a scan that
-    shares no code with the walk behind udr_profile and enumerate_paths.
+    """Number of contiguous UDR factors, by a scan that shares no code
+    with the walk behind udr_profile and enumerate_paths.
 
-    Occurrences cannot overlap: a DownRed is never followed by Up in a
-    valid word, so consecutive matches are at least three steps apart.
+    Occurrences cannot overlap: R is never followed by U in a valid word,
+    so consecutive matches are at least three steps apart.
     """
     return sum(
         1
         for i in range(len(word) - 2)
-        if word[i] is U and word[i + 1] is D and word[i + 2] is R
+        if word[i] == "U" and word[i + 1] == "D" and word[i + 2] == "R"
     )
 
 
 def independent_check(word):
-    """Validity via string rules, sharing no code with validate()."""
-    text = "".join("UDR"[s] for s in word)
-    if "UR" in text or "RU" in text:
+    """Validity via substring tests, sharing no code with validate()."""
+    if "UR" in word or "RU" in word:
         return False
     level = 0
-    for ch in text:
+    for ch in word:
         level += 1 if ch == "U" else -1
         if level < 0:
             return False
@@ -49,81 +43,82 @@ def independent_check(word):
 
 class TestValidate:
     def test_empty_word_valid(self):
-        assert validate([]) is None
+        assert validate("") is None
 
     def test_up_red_factor(self):
-        violation = validate([U, R])
-        assert violation.rule is Rule.UP_RED
+        violation = validate("UR")
+        assert violation.rule == "UpRed"
         assert violation.index == 0
 
     def test_below_axis(self):
-        violation = validate([D])
-        assert violation.rule is Rule.BELOW_AXIS
+        violation = validate("D")
+        assert violation.rule == "BelowAxis"
         assert violation.index == 0
 
     def test_valid_path(self):
-        assert validate([U, U, D, R]) is None
-        path = SkewPath((U, U, D, R))
+        assert validate("UUDR") is None
+        path = SkewPath("UUDR")
         assert path.levels[-1] == 0
 
     def test_red_up_factor(self):
-        violation = validate([U, U, D, R, U])
-        assert violation.rule is Rule.RED_UP
+        violation = validate("UUDRU")
+        assert violation.rule == "RedUp"
         assert violation.index == 3
 
     def test_axis_beats_factor_at_same_index(self):
-        violation = validate([R, U])
-        assert violation.rule is Rule.BELOW_AXIS
+        violation = validate("RU")
+        assert violation.rule == "BelowAxis"
 
     def test_exhaustive_against_independent_rules(self):
         for m in range(9):
-            for word in itertools.product((U, D, R), repeat=m):
+            for word in map("".join, itertools.product("UDR", repeat=m)):
                 assert (validate(word) is None) == independent_check(word), word
 
-    @given(st.lists(st.sampled_from([U, D, R]), min_size=9, max_size=14))
+    @given(st.text(alphabet="UDR", min_size=9, max_size=14))
     def test_random_words_against_independent_rules(self, word):
         assert (validate(word) is None) == independent_check(word)
 
 
 class TestCountUdr:
     def test_too_short(self):
-        assert count_udr([U, D]) == 0
+        assert count_udr("UD") == 0
 
     def test_single_occurrence(self):
-        assert count_udr([U, U, D, R]) == 1
+        assert count_udr("UUDR") == 1
 
     def test_no_occurrence(self):
-        assert count_udr([U, U, D, D]) == 0
+        assert count_udr("UUDD") == 0
 
-    @given(st.lists(st.sampled_from([U, D, R]), max_size=14))
+    @given(st.text(alphabet="UDR", max_size=14))
     def test_reverse_scan_agrees(self, word):
         reversed_word = word[::-1]
         mirrored = sum(
             1
             for i in range(len(reversed_word) - 2)
-            if reversed_word[i] is R
-            and reversed_word[i + 1] is D
-            and reversed_word[i + 2] is U
+            if reversed_word[i] == "R"
+            and reversed_word[i + 1] == "D"
+            and reversed_word[i + 2] == "U"
         )
         assert count_udr(word) == mirrored
 
 
 class TestEnumerate:
     def test_length_zero(self):
-        assert list(enumerate_paths(0)) == [((), 0, 0)]
+        assert list(enumerate_paths(0)) == [("", 0, 0)]
 
     def test_length_four_total(self):
         assert len(list(enumerate_paths(4))) == 7
 
     def test_length_four_closed_avoiding(self):
         words = [word for word, level, udr in enumerate_paths(4) if level == 0 and not udr]
-        assert words == [(U, U, D, D), (U, D, U, D)]
+        assert words == ["UUDD", "UDUD"]
 
     def test_length_six_closed_avoiding(self):
         assert sum(1 for _, level, udr in enumerate_paths(6) if level == 0 and not udr) == 6
 
     def test_lexicographic_order(self):
-        keys = [tuple(int(s) for s in word) for word, _, _ in enumerate_paths(5)]
+        # step order U < D < R, not Python's string order
+        keys = [["UDR".index(s) for s in word] for word, _, _ in enumerate_paths(5)]
         assert keys == sorted(keys)
 
     def test_unreachable_end_level_yields_nothing(self):
@@ -141,7 +136,7 @@ class TestEnumerate:
         for m in range(9):
             brute = sum(
                 1
-                for word in itertools.product((U, D, R), repeat=m)
+                for word in map("".join, itertools.product("UDR", repeat=m))
                 if validate(word) is None
             )
             assert len(list(enumerate_paths(m))) == brute
@@ -149,7 +144,7 @@ class TestEnumerate:
     def test_yields_satisfy_invariants(self):
         for word, level, udr in enumerate_paths(7):
             assert validate(word) is None
-            assert level == sum(s.displacement for s in word)
+            assert level == 2 * word.count("U") - len(word)
             assert udr == count_udr(word)
 
 
@@ -160,9 +155,9 @@ class TestUdrProfile:
         hist = udr_profile(8)
         for m in range(9):
             seen = {}
-            for word in itertools.product((U, D, R), repeat=m):
+            for word in map("".join, itertools.product("UDR", repeat=m)):
                 if validate(word) is None:
-                    counter = seen.setdefault(sum(s.displacement for s in word), {})
+                    counter = seen.setdefault(2 * word.count("U") - m, {})
                     j = count_udr(word)
                     counter[j] = counter.get(j, 0) + 1
             assert hist[m] == seen
@@ -171,33 +166,38 @@ class TestUdrProfile:
 class TestSkewPath:
     def test_invalid_word_rejected(self):
         with pytest.raises(ValueError, match="UpRed"):
-            SkewPath((U, R))
+            SkewPath("UR")
 
     def test_parse_word_aliases_left(self):
-        assert parse_word("UUDL") == (U, U, D, R)
+        assert parse_word("UUDL") == "UUDR"
+        assert parse_word(" uudl\n") == "UUDR"
+
+    def test_parse_word_rejects_other_letters(self):
+        with pytest.raises(ValueError, match=r"unknown step letter 'X' \(expected U, D, R\)"):
+            parse_word("UDx")
 
     def test_levels(self):
-        assert SkewPath((U, U, D, R)).levels == (0, 1, 2, 1, 0)
+        assert SkewPath("UUDR").levels == (0, 1, 2, 1, 0)
 
 
 class TestRenderSvg:
     def test_empty_path(self):
-        svg = render_svg(SkewPath(()), 24)
+        svg = render_svg(SkewPath(""), 24)
         assert svg.startswith("<?xml")
         assert 'width="48"' in svg
 
     def test_two_segments_second_black(self):
-        svg = render_svg(SkewPath((U, D)), 24)
+        svg = render_svg(SkewPath("UD"), 24)
         strokes = re.findall(r'stroke="([^"]+)"', svg)
         # axis + 2 segments
         assert len(strokes) == 3
         assert strokes[2] == "#000000"
 
     def test_red_stroke_on_fourth_segment(self):
-        svg = render_svg(SkewPath((U, U, D, R)), 24)
+        svg = render_svg(SkewPath("UUDR"), 24)
         strokes = re.findall(r'stroke="([^"]+)"', svg)
         assert strokes[1:] == ["#000000"] * 3 + ["#cc0022"]
 
     def test_deterministic(self):
-        p = SkewPath((U, U, D, R))
+        p = SkewPath("UUDR")
         assert render_svg(p, 24) == render_svg(p, 24)

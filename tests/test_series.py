@@ -196,6 +196,10 @@ class TestShapeOps:
     def test_compress_even(self):
         s = poly(1, 0, 2, 0, 3, order=5)
         assert s.compress_even().coeffs == (1, 2, 3)
+        for order in range(1, 10):
+            c = poly(*[0 if i % 2 else i + 1 for i in range(order)], order=order).compress_even()
+            assert c.order == len(c.coeffs) == (order + 1) // 2, order
+            assert c.coeffs == tuple(range(1, order + 1, 2)), order
 
     def test_compress_rejects_odd_terms(self):
         with pytest.raises(Exception, match="odd coefficient"):

@@ -31,11 +31,9 @@ HEAVY = {
 PUBLIC = {
     "AlgEquation": "series",
     "GFMode": "kernel",
-    "Layer": "automaton",
     "QQ": "rings",
     "QT": "rings",
     "SkewPath": "paths",
-    "Step": "paths",
     "TPoly": "rings",
     "ZSeries": "series",
     "avoidance_series": "cubics",
@@ -43,7 +41,6 @@ PUBLIC = {
     "count": "automaton",
     "enumerate_paths": "paths",
     "kernel_root": "kernel",
-    "layer_series": "automaton",
     "level_gf": "kernel",
     "marker_series": "cubics",
     "render_svg": "paths",
