@@ -29,7 +29,7 @@ from .rings import TPoly
 DEFAULT_ORDER = 16
 ASYMPT_NS = (50, 100, 200, 400, 800, 1600)
 ASYMPT_CAP = 20000  # largest --n; s_20000 has 13 245 digits
-# Upper caps on the other sizes, chosen from timings: at most about 13 s
+# Upper caps on the other sizes, chosen from timings: at most about 11 s
 # of work at any cap on a 2-core Xeon guest (README lists them).
 SERIES_CAP = 2000  # series --order
 BIVARIATE_CAP = 250  # bivariate --order

@@ -38,7 +38,7 @@ def parse_word(text: str) -> str:
 # The forbidden factors, each with the rule name a violation reports.
 _FACTOR_RULES = {"UR": "UpRed", "RU": "RedUp"}
 
-# rule is "BelowAxis", "UpRed" or "RedUp".
+# rule is "UnknownStep", "BelowAxis", "UpRed" or "RedUp".
 Violation = namedtuple("Violation", "index rule")
 
 
@@ -46,11 +46,15 @@ def validate(word: str) -> Violation | None:
     """Check the three validity rules: None for a valid word, else the
     earliest violation.
 
-    At a tied index the axis rule is reported before the factor rules.
-    The index of a factor violation is the position of its first step.
+    A letter other than U, D or R is an "UnknownStep" violation, reported
+    before any other rule at its index.  At a tied index the axis rule is
+    reported before the factor rules.  The index of a factor violation is
+    the position of its first step.
     """
     level = 0
     for i, step in enumerate(word):
+        if step not in "UDR":
+            return Violation(i, "UnknownStep")
         level += 1 if step == "U" else -1
         if level < 0:
             return Violation(i, "BelowAxis")

@@ -4,12 +4,10 @@ Two rings are supported: the integers Z, as plain Python ints, and dense
 polynomials in the occurrence marker ``t`` with integer coefficients,
 Z[t].  The ring objects keep their historical names ``QQ`` and ``QT``.
 
-No rationals are needed.  Every series the engine inverts, and every
-Newton derivative dP/dS at the origin, has constant term +1 or -1,
-which is its own inverse, so inverses and Newton corrections stay
-integral.  Any other divisor must divide exactly, and an inexact
-division is an error.  Rational values of t enter only at the CLI, when
-a finished Z[t] coefficient is evaluated for output.
+No rationals are needed: the series engine divides only by units, +1
+or -1 (the rule is stated in `skewdyck.series`).  Rational values of t
+enter only at the CLI, when a finished Z[t] coefficient is evaluated
+for output.
 """
 
 from __future__ import annotations
@@ -187,10 +185,8 @@ class TPolyRing:
         return x.degree == 0 and x.coeffs[0] in (1, -1)
 
     def divexact(self, x, d):
-        """x / d if exact, else None, for d a unit TPoly (a constant term
-        in series division) or a nonzero int (kernel.inverse_power)."""
-        if isinstance(d, TPoly):
-            return x * d if self.is_unit(d) else None
+        """x / d for a nonzero int d (kernel.inverse_power) if d divides
+        every coefficient exactly, else None."""
         out = []
         for c in x.coeffs:
             q, r = divmod(c, d)

@@ -6,16 +6,15 @@ operations return the minimum of the input orders, so precision loss is
 always visible in the result type.  Algebraic equations P(z, S) = 0 with
 a simple root at the origin are solved by Newton iteration.
 
-Coefficients stay in Z or Z[t] throughout.  A series can be inverted
-only when its constant term is +1 or -1, and the Newton solver requires
-dP/dS = +1 or -1 at the origin, so every inverse it forms is integral.
+Coefficients stay in Z or Z[t] throughout, because every division is
+by a unit: once its z power is stripped, a divisor's first coefficient
+must be +1 or -1, which is its own inverse, and `divide` raises
+DivisionByNonUnit for any other.  The Newton solver likewise requires
+dP/dS = +1 or -1 at the origin, so each correction is such a division.
 That holds for everything this package solves and divides: dP/dS is 1
 at the origin for the avoidance, marker and kernel cubics, and the
 kernel-method divisors (utilde and its products with utilde - z^2 or
-utilde + (t - 1) z^2) have constant term 1 once powers of z are
-stripped.  Division by any other series is one long-division pass that
-must divide exactly at every step, and raises DivisionByNonUnit
-otherwise.
+utilde + (t - 1) z^2) have constant term 1.
 """
 
 from __future__ import annotations
@@ -70,11 +69,6 @@ class ZSeries:
         return s
 
     # -- basics -------------------------------------------------------
-
-    def coefficient(self, m: int):
-        if m >= self.order:
-            raise IndexError(f"coefficient z^{m} beyond truncation order {self.order}")
-        return self.coeffs[m]
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if zero mod z^N."""
@@ -144,26 +138,11 @@ class ZSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported; use inverse()")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return ZSeries((self.ring.one,), self.order, self.ring) if result is None else result
-
     def inverse(self) -> "ZSeries":
-        """Multiplicative inverse; requires a constant term of +1 or -1."""
-        ring = self.ring
-        if not ring.is_unit(self.coeffs[0]):
-            raise DivisionByNonUnit("constant term is not +1 or -1")
-        one = (ring.one,) + (ring.zero,) * (self.order - 1)
-        return ZSeries._raw(_long_divide(one, self.coeffs, self.order, ring), self.order, ring)
+        """1 / self, by `divide`.  No route in the package calls this; it is
+        kept because the benchmark's layer timings (bench/layers.py) and
+        tracer (bench/tracer.py) time it by name."""
+        return divide(ZSeries((self.ring.one,), self.order, self.ring), self)
 
     # -- shape operations ---------------------------------------------
 
@@ -210,11 +189,6 @@ class ZSeries:
                 _as_int(c)
         return list(self.coeffs)
 
-    def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order > 8 else ""
-        return f"ZSeries([{shown}{tail}] mod z^{self.order}, ring={self.ring.name})"
-
 
 def _as_int(c) -> int:
     if type(c) is not int:
@@ -222,29 +196,13 @@ def _as_int(c) -> int:
     return c
 
 
-def _long_divide(a, b, n: int, ring) -> tuple:
-    """First n coefficients of a / b, for coefficient sequences with
-    b[0] != 0, by one long-division pass.  Each step divides exactly by
-    b[0]; an inexact step raises DivisionByNonUnit."""
-    b0 = b[0]
-    zero = ring.zero
-    q = []
-    for k in range(n):
-        r = a[k] - sum(map(mul, b[1 : k + 1], reversed(q)), zero)
-        qk = ring.divexact(r, b0)
-        if qk is None:
-            raise DivisionByNonUnit(f"{r} is not divisible by {b0} at z^{k}")
-        q.append(qk)
-    return tuple(q)
-
-
 def divide(a: ZSeries, b: ZSeries) -> ZSeries:
-    """Exact series division.
+    """a / b, exact in the coefficient ring.
 
     If b has valuation v > 0, a must vanish below z^v too, and the
     common z power is stripped from both first (the order drops by v).
-    The quotient must then be exact in the coefficient ring at every
-    step; it always is when the constant term of b is +1 or -1.
+    The first remaining coefficient b0 of b must then be a unit, +1 or
+    -1, and one pass gives q_k = b0 (a_k - sum_{j=1..k} b_j q_{k-j}).
     """
     a._check(b)
     v = b.valuation()
@@ -256,7 +214,17 @@ def divide(a: ZSeries, b: ZSeries) -> ZSeries:
     n = min(a.order, b.order) - v
     if n < 1:
         raise DivisionByNonUnit("no coefficients left after valuation stripping")
-    return ZSeries._raw(_long_divide(a.coeffs[v:], b.coeffs[v:], n, a.ring), n, a.ring)
+    ring = a.ring
+    b0 = b.coeffs[v]
+    if not ring.is_unit(b0):
+        raise DivisionByNonUnit(f"leading coefficient {b0} is not +1 or -1")
+    negate = b0 != ring.one
+    num, den = a.coeffs[v:], b.coeffs[v + 1 : v + n]
+    q = []
+    for k in range(n):
+        r = num[k] - sum(map(mul, den[:k], reversed(q)), ring.zero)
+        q.append(-r if negate else r)
+    return ZSeries._raw(tuple(q), n, ring)
 
 
 class AlgEquation:
@@ -326,8 +294,8 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
     A step from order k to order T pads s with zeros to order T.  The
     residual P(s) then vanishes below z^k, so the correction
     -P(s) / P'(s) is z^k times a series needed only mod z^(T-k): P'(s)
-    and its inverse are formed at that half precision, and only the top
-    T-k residual coefficients are multiplied (Brent and Kung, 1978).
+    is formed at that half precision, and only the top T-k residual
+    coefficients are divided by it (Brent and Kung, 1978).
     """
     if schedule not in ("doubling", "linear"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -342,7 +310,7 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
         h = target - k
         s = ZSeries._raw(s.coeffs + (ring.zero,) * h, target, ring)
         top = ZSeries._raw(eq.apply(s).coeffs[k:], h, ring)
-        step = top * deq.apply(s.truncate(h)).inverse()
+        step = divide(top, deq.apply(s.truncate(h)))
         s = ZSeries._raw(s.coeffs[:k] + tuple(-c for c in step.coeffs), target, ring)
     return s
 

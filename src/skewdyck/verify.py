@@ -110,10 +110,10 @@ def check_level_gfs() -> CheckResult:
         by_level = automaton.by_level(state)
         for k in levels:
             want = by_level.get(k, TPoly())
-            got = track[k].coefficient(m)
+            got = track[k].coeffs[m]
             if got != want:
                 return CheckResult("level-gf-vs-dp", False, f"k={k} m={m}: kernel {got} vs automaton {want}")
-            got = forbid[k].coefficient(m)
+            got = forbid[k].coeffs[m]
             if got != want(0):
                 return CheckResult(
                     "level-gf-vs-dp", False, f"forbid k={k} m={m}: kernel {got} vs automaton {want(0)}"

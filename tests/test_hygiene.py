@@ -2,7 +2,9 @@
 
 Every import in src/ and tests/ is used, and src/skewdyck has exactly the
 defaulted parameters listed in DEFAULTED, counting dataclass fields with a
-default as parameters of the generated __init__.
+default as parameters of the generated __init__.  Every function, class
+and method in src/skewdyck is named somewhere in src/skewdyck or bench/,
+except the test-only names listed in TEST_ONLY.
 """
 
 import ast
@@ -18,6 +20,9 @@ DEFAULTED = {
     "rings.TPoly.__init__(coeffs)",
     "series.solve_algebraic(schedule)",
 }
+
+# Defined in src/skewdyck but named only by the tests.
+TEST_ONLY = {"paths.enumerate_paths", "series.ZSeries.is_zero", "series.ZSeries.agrees_with"}
 
 
 def _imported_names(tree):
@@ -71,3 +76,37 @@ def test_defaulted_parameters_are_the_allowed_ones():
     for path in sorted(PACKAGE.glob("*.py")):
         found.update(_defaulted(ast.parse(path.read_text(encoding="utf-8")), path.stem))
     assert found == DEFAULTED
+
+
+def _definitions(node, scope):
+    """(qualified 'module.scope.name', name) for each non-dunder def and class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{scope}.{child.name}"
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield name, child.name
+            yield from _definitions(child, name)
+        else:
+            yield from _definitions(child, scope)
+
+
+def _referenced_names(tree):
+    """Names used as variables or attributes; a def or class statement
+    names nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_only_listed_definitions_lack_a_caller():
+    package = sorted(PACKAGE.glob("*.py"))
+    referenced = set()
+    for path in package + sorted((ROOT / "bench").glob("*.py")):
+        referenced.update(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    uncalled = set()
+    for path in package:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uncalled.update(q for q, name in _definitions(tree, path.stem) if name not in referenced)
+    assert uncalled == TEST_ONLY

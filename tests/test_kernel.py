@@ -113,13 +113,21 @@ class TestBoundaryConstants:
                 assert got[name] == full[name].truncate(order), (order, name)
 
 
+def _power(s, k):
+    """s^k by repeated multiplication."""
+    out = ZSeries([1], s.order, s.ring)
+    for _ in range(k):
+        out = out * s
+    return out
+
+
 def _level_gf_by_powers(k, order, mode):
-    """The former level_gf: divide by utilde^k formed by repeated squaring."""
+    """The former level_gf: divide by utilde^k formed by repeated products."""
     keep = order - k
     ut = kernel_root(keep + 2, mode)
     base = divide(1 - ut, ZSeries([0, 0, 1], keep + 2, ut.ring))
     if k:
-        base = divide(base, ut.truncate(keep) ** k)
+        base = divide(base, _power(ut.truncate(keep), k))
     return base.shift(k)
 
 
@@ -163,12 +171,12 @@ class TestInversePower:
     def test_matches_inverse_of_power(self, tail, k):
         s = ZSeries([1, *tail], 8, QQ)
         got = inverse_power(s, k)
-        assert got == (s**k).inverse()
+        assert got == _power(s, k).inverse()
         assert all(type(c) is int for c in got.coeffs)
 
     def test_marker_ring(self):
         s = marker_series(12)
-        assert inverse_power(s, 5) == (s**5).inverse()
+        assert inverse_power(s, 5) == _power(s, 5).inverse()
 
     @pytest.mark.parametrize("constant", [-1, 2, 0])
     def test_needs_constant_term_one(self, constant):

@@ -179,6 +179,17 @@ class TestSkewPath:
     def test_levels(self):
         assert SkewPath("UUDR").levels == (0, 1, 2, 1, 0)
 
+    @pytest.mark.parametrize(
+        "word,violation",
+        [("UX", (1, "UnknownStep")), ("UL", (1, "UnknownStep")), ("DX", (0, "BelowAxis"))],
+    )
+    def test_unknown_letter_is_a_violation(self, word, violation):
+        # validate reads the word as given: L is read as R only by parse_word
+        assert validate(word) == violation
+        index, rule = violation
+        with pytest.raises(ValueError, match=f"^invalid word: {rule} at index {index}$"):
+            SkewPath(word)
+
 
 class TestRenderSvg:
     def test_empty_path(self):

@@ -223,6 +223,24 @@ class TestAgainstFractionReference:
         assert lifted(R, s.inverse()) == ref_inverse(R, ref)
         assert lifted(R, s * s) == ref_mul(R, ref, ref)
 
+    @pytest.mark.parametrize(
+        "equation,R",
+        [
+            (avoidance_cubic, RefQ),
+            (marker_cubic, RefQT),
+            (lambda: kernel_equation(GFMode.UNIVARIATE), RefQ),
+            (lambda: kernel_equation(GFMode.BIVARIATE), RefQT),
+        ],
+        ids=["avoidance", "marker", "kernel-univariate", "kernel-bivariate"],
+    )
+    def test_newton_never_inverts(self, monkeypatch, equation, R):
+        def refuse(self):
+            raise AssertionError("ZSeries.inverse called")
+
+        monkeypatch.setattr(ZSeries, "inverse", refuse)
+        eq = equation()
+        assert lifted(R, solve_algebraic(eq, 1, 30)) == ref_newton(R, eq, 1, 30)
+
     def test_avoidance_series_matches_recurrence_to_600(self):
         assert avoidance_series(600).integer_coefficients() == holonomic.extend([1, 1, 2, 6], 599)
 
@@ -248,7 +266,7 @@ int_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_s
 class TestDivideAgainstFractions:
     @given(int_lists, int_lists, st.integers(min_value=0, max_value=2))
     @example(a=[1, 2, 3, 4], b=[-1, 1, 1], v=0)  # unit divisor -1
-    @example(a=[3, 6, 0, 9], b=[3, -3], v=1)  # exact non-unit divisor
+    @example(a=[3, 6, 0, 9], b=[3, -3], v=1)  # integral quotient, but 3 is not a unit
     @example(a=[1, 1], b=[2, 1], v=0)  # inexact
     @settings(max_examples=200)
     def test_integral_quotient_agrees_else_raises(self, a, b, v):
@@ -259,15 +277,11 @@ class TestDivideAgainstFractions:
         n = min(len(a), len(b))
         za, zb = ZSeries(a, n, QQ), ZSeries(b, n, QQ)
         va, vb = za.valuation(), zb.valuation()
-        if vb is None or vb >= n or (va is not None and va < vb):
+        if vb is None or vb >= n or (va is not None and va < vb) or b[vb] not in (1, -1):
             with pytest.raises(DivisionByNonUnit):
                 divide(za, zb)
             return
         want = ref_divide(RefQ, [Fraction(x) for x in a[:n]], [Fraction(x) for x in b[:n]])
-        if all(q.denominator == 1 for q in want):
-            got = divide(za, zb)
-            assert got.coeffs == tuple(want)
-            assert all(type(c) is int for c in got.coeffs)
-        else:
-            with pytest.raises(DivisionByNonUnit):
-                divide(za, zb)
+        got = divide(za, zb)
+        assert got.coeffs == tuple(want)
+        assert all(type(c) is int for c in got.coeffs)

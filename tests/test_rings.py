@@ -76,10 +76,6 @@ class TestExactDivision:
         assert QQ.divexact(12, -4) == -3
         assert QQ.divexact(12, 5) is None
 
-    def test_marker_ring_by_unit(self):
-        assert QT.divexact(TPoly([1, -2]), TPoly(-1)) == TPoly([-1, 2])
-        assert QT.divexact(TPoly([1, -2]), TPoly([1, 1])) is None
-
     def test_marker_ring_by_int(self):
         got = QT.divexact(TPoly([6, 0, -4]), 2)
         assert got == TPoly([3, 0, -2])
