@@ -110,10 +110,6 @@ def _emit_sequence(args, coeffs, variable: str, t_mode: str) -> None:
     _emit(args, {"sequence": cells, "variable": variable, "t_mode": t_mode}, [cells], " ".join)
 
 
-def _t_mode_name(t_eval) -> str:
-    return t_eval if isinstance(t_eval, str) else str(t_eval)
-
-
 def _eval_tpoly(poly: TPoly, t_eval):
     if t_eval == "track":
         return poly
@@ -124,7 +120,7 @@ def cmd_count(args) -> int:
     from . import automaton
 
     result = _coeff_str(_eval_tpoly(automaton.count(args.length, args.level), args.t_eval))
-    _emit(args, {"count": result, "t_mode": _t_mode_name(args.t_eval)}, [[result]], " ".join)
+    _emit(args, {"count": result, "t_mode": str(args.t_eval)}, [[result]], " ".join)
     return 0
 
 
@@ -168,7 +164,7 @@ def cmd_levels(args) -> int:
     if args.half_length:
         coeffs = coeffs[0::2]
     variable = "z(half)" if args.half_length else "z"
-    _emit_sequence(args, coeffs, variable, _t_mode_name(args.t_eval))
+    _emit_sequence(args, coeffs, variable, str(args.t_eval))
     return 0
 
 
@@ -194,7 +190,7 @@ def cmd_asympt(args) -> int:
     from . import asymptotics, holonomic
 
     ns = args.n or list(ASYMPT_NS)
-    coeffs = holonomic.extend([1, 1, 2, 6], max(max(ns), 3))
+    coeffs = holonomic.extend(holonomic.INITIAL, max(max(ns), 3))
     rows = asymptotics.convergence_report(ns, coeffs)
     # s_n passes CPython's 4300-digit int-to-str limit at n = 6499; --n is
     # capped at ASYMPT_CAP, so lifting the limit here stays bounded.

@@ -45,6 +45,7 @@ def p4(n: int) -> int:
 
 
 RECURRENCE_ORDER = 4
+INITIAL = (1, 1, 2, 6)  # s_0..s_3, the first terms of OEIS A128729
 
 
 def extend(initial: Sequence[int], n_max: int) -> list[int]:

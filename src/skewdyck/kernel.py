@@ -57,8 +57,6 @@ def kernel_equation(mode: GFMode) -> AlgEquation:
 
 def kernel_root(order: int, mode: GFMode) -> ZSeries:
     """utilde modulo z^order, the root of the kernel cubic with constant term 1."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
     return solve_once(("kernel", mode), lambda: kernel_equation(mode), order)
 
 
@@ -75,18 +73,14 @@ def boundary_constants(order: int, mode: GFMode):
     has a unit constant term, so the divisions are plain series
     divisions.
     """
-    work = max(order, 2)  # kernel_root needs order >= 2
-    ut = kernel_root(work, mode)
+    ut = kernel_root(order, mode)
     t = 0 if mode is GFMode.UNIVARIATE else T
-    z2 = ZSeries([0, 0, 1], work, ut.ring)
+    z2 = ZSeries([0, 0, 1], order, ut.ring)
     num = 1 - z2 - ut  # valuation 2
-    g0 = divide(z2, ut)
-    h0 = divide(num, ut)
-    k0 = divide(num * (t * ut + (1 - t) * z2), ut * (ut + (t - 1) * z2))
     return {
-        "g0": g0.truncate(order),
-        "h0": h0.truncate(order),
-        "k0": k0.truncate(order),
+        "g0": divide(z2, ut),
+        "h0": divide(num, ut),
+        "k0": divide(num * (t * ut + (1 - t) * z2), ut * (ut + (t - 1) * z2)),
     }
 
 
@@ -144,10 +138,3 @@ def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:
         base = base * inverse_power(ut.truncate(keep), k)
     return base.shift(k)
 
-
-def identity_total(order: int, mode: GFMode) -> tuple[ZSeries, ZSeries]:
-    """Both sides of 1 + g0 + h0 + k0 == (1 - utilde) / z^2, the level-0
-    series, as exact truncated series; they agree when the boundary
-    constants are right."""
-    consts = boundary_constants(order, mode)
-    return 1 + consts["g0"] + consts["h0"] + consts["k0"], level_gf(0, order, mode)

@@ -114,8 +114,6 @@ class ZSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, ZSeries):
-            other = ZSeries((other,), self.order, self.ring)
         return self + (-other)
 
     def __rsub__(self, other):

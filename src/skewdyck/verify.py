@@ -6,11 +6,12 @@ asymptotics, vendored golden values) and returns a pass/fail record.
 The CLI `verify` subcommand runs them in a fixed order.
 
 `run_all` takes one of two paths, with the same results in the same
-order.  When the process can fork, at least two CPUs are usable and no
-other thread is alive, a child process runs the brute-force oracle
-check while this process runs the other checks; the child sends its
-result back through a pipe.  Otherwise, or when the child delivers no
-result, every check runs here, one after another.
+order.  When the process can fork, no other thread is alive and it can
+pin a child to a CPU other than its own, a child process on that CPU
+runs the brute-force oracle check while this process runs the other
+checks; the child sends its result back through a pipe.  Otherwise, or
+when the child delivers no result, every check runs here, one after
+another.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ def _residual(series, var: str) -> str:
 
 
 def _histogram_poly(counter) -> TPoly:
-    if not counter:
-        return TPoly()
-    coeffs = [0] * (max(counter) + 1)
-    for j, c in counter.items():
-        coeffs[j] = c
-    return TPoly(coeffs)
+    return TPoly([counter.get(j, 0) for j in range(max(counter, default=-1) + 1)])
 
 
 def check_dp_vs_oracle(depth: int) -> CheckResult:
@@ -61,7 +57,7 @@ def check_dp_vs_oracle(depth: int) -> CheckResult:
     for m, state in enumerate(automaton.walk(depth)):
         got = automaton.by_level(state)
         for k in sorted(got.keys() | hist[m].keys()):
-            dp, oracle = got.get(k, TPoly()), _histogram_poly(hist[m].get(k))
+            dp, oracle = got.get(k, TPoly()), _histogram_poly(hist[m].get(k, {}))
             if dp != oracle:
                 return CheckResult(
                     "dp-vs-oracle", False, f"mismatch at length {m} level {k}: automaton {dp} vs oracle {oracle}"
@@ -140,7 +136,7 @@ def check_transformed_cubic() -> CheckResult:
 
 
 def check_recurrence() -> CheckResult:
-    seq = holonomic.extend([1, 1, 2, 6], 200)
+    seq = holonomic.extend(holonomic.INITIAL, 200)
     solver = cubics.avoidance_series(201).integer_coefficients()
     diff = _first_difference(seq, solver, "recurrence", "solver")
     return CheckResult("recurrence-vs-solver", not diff, diff or "agreement to n=200")
@@ -152,8 +148,12 @@ def check_ode() -> CheckResult:
 
 
 def check_boundary_identity() -> CheckResult:
+    """1 + g0 + h0 + k0 from the boundary constants against the level-0
+    series (1 - utilde) / z^2."""
     for mode in kernel.GFMode:
-        constants, level0 = kernel.identity_total(20, mode)
+        consts = kernel.boundary_constants(20, mode)
+        constants = 1 + consts["g0"] + consts["h0"] + consts["k0"]
+        level0 = kernel.level_gf(0, 20, mode)
         diff = _first_difference(constants.coeffs, level0.coeffs, "constants", "level-0")
         if diff:
             return CheckResult("boundary-identity", False, f"{mode.value} mode, {diff}")
@@ -165,7 +165,7 @@ def check_asymptotics() -> CheckResult:
     numeric = asymptotics.dominant_singularity_numeric()
     if abs(numeric - z0) > 1e-12:
         return CheckResult("asymptotics", False, f"numeric z0 {numeric!r} disagrees with closed form {z0!r}")
-    coeffs = holonomic.extend([1, 1, 2, 6], 1600)
+    coeffs = holonomic.extend(holonomic.INITIAL, 1600)
     ratio_1000 = asymptotics.coefficient_ratio(1000, coeffs)
     if not 0.99 <= ratio_1000 <= 1.01:
         return CheckResult("asymptotics", False, f"ratio at n=1000 is {ratio_1000}")
@@ -192,48 +192,38 @@ CHECKS = [
 ]
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _can_fork() -> bool:
     """Whether a child may run the oracle beside this process.  A fork
     copies only the calling thread, so no other may be alive; threads
     are started through `threading`, and a process that never imported
     it has none (importing it here would cost every job its start-up)."""
     threading = sys.modules.get("threading")
-    return (
-        hasattr(os, "fork")
-        and _usable_cpus() >= 2
-        and (threading is None or threading.active_count() == 1)
-    )
+    return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
 
 
-def _other_cpus() -> set[int] | None:
-    """The usable CPUs other than the one this process runs on, or None
-    where the system does not say (it does on Linux, through /proc)."""
+def _other_cpus() -> set[int]:
+    """The usable CPUs other than the one this process runs on; empty
+    where there is none, or where the system cannot pin a process or
+    does not say which CPU it runs on (Linux says, through /proc)."""
     if not hasattr(os, "sched_setaffinity"):
-        return None
+        return set()
     try:
         with open("/proc/self/stat", "rb") as stat:
             cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
     except (OSError, IndexError, ValueError):
-        return None
+        return set()
     return os.sched_getaffinity(0) - {cpu}
 
 
-def _fork_check(check, depth: int) -> tuple[int, int] | None:
-    """Fork a child that runs check(depth) and writes its result to a pipe
-    as a marshalled (name, ok, detail) tuple; return (pid, read end), or
-    None when no process can be forked.
+def _fork_check(check, depth: int, cpus: set[int]) -> tuple[int, int] | None:
+    """Fork a child that runs check(depth) on `cpus` and writes its result
+    to a pipe as a marshalled (name, ok, detail) tuple; return (pid, read
+    end), or None when no process can be forked.
 
     The child leaves only through os._exit, so it never flushes the
     stdout it shares with this process, runs atexit handlers or returns
     into the caller.  It exits 0 only once the whole result is written.
     """
-    cpus = _other_cpus()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -247,11 +237,10 @@ def _fork_check(check, depth: int) -> tuple[int, int] | None:
     status = 1
     try:
         os.close(read_end)
-        if cpus:
-            # Keep off the parent's CPU: a kernel that does not spread
-            # runnable processes over its CPUs (as in some virtual
-            # machines) would otherwise leave both on one.
-            os.sched_setaffinity(0, cpus)
+        # Keep off the parent's CPU: a kernel that does not spread
+        # runnable processes over its CPUs (as in some virtual machines)
+        # would otherwise leave both on one, slower than no child at all.
+        os.sched_setaffinity(0, cpus)
         with open(write_end, "wb") as pipe:
             pipe.write(marshal.dumps(tuple(check(depth))))
         status = 0
@@ -265,7 +254,8 @@ def run_all(oracle_depth: int) -> list[CheckResult]:
     here raises.  When it delivers no result the oracle check runs here,
     so that its exception, if any, reaches the caller."""
     oracle = check_dp_vs_oracle
-    child = _fork_check(oracle, oracle_depth) if _can_fork() else None
+    cpus = _other_cpus() if _can_fork() else set()
+    child = _fork_check(oracle, oracle_depth, cpus) if cpus else None
     if child is None:
         return [fn(oracle_depth) if fn is oracle else fn() for fn in CHECKS]
     pid, read_end = child

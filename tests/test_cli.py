@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import automaton, cubics, golden, holonomic, kernel
+from skewdyck import automaton, cubics, golden, holonomic, kernel, paths
 from skewdyck.cli import (
     ASYMPT_CAP,
     BIVARIATE_CAP,
@@ -203,6 +203,17 @@ class TestVerify:
         assert len(lines) == 12
         assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != line_no)
         assert err == "1 check(s) failed\n"
+
+    def test_level_missing_from_the_oracle_fails_its_check(self, capout, monkeypatch):
+        udr_profile = paths.udr_profile
+
+        def without_length_4_level_2(max_length):
+            hist = udr_profile(max_length)
+            del hist[4][2]
+            return hist
+
+        monkeypatch.setattr(paths, "udr_profile", without_length_4_level_2)
+        self._only_failure(capout, 0, "FAIL dp-vs-oracle  (mismatch at length 4 level 2: automaton 3 vs oracle 0)")
 
     def test_wrong_kernel_root_names_mode_power_and_residual(self, capout, monkeypatch):
         kernel_root = kernel.kernel_root

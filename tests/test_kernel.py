@@ -7,7 +7,6 @@ from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_series, tr
 from skewdyck.kernel import (
     GFMode,
     boundary_constants,
-    identity_total,
     kernel_equation,
     inverse_power,
     kernel_root,
@@ -74,18 +73,20 @@ class TestDerivedAtTZero:
         assert all(type(c) is int for p in eq.coeff_polys for c in p)
 
 
+def _boundary_total(order, mode):
+    """1 + g0 + h0 + k0, which equals the level-0 series."""
+    c = boundary_constants(order, mode)
+    return 1 + c["g0"] + c["h0"] + c["k0"]
+
+
 class TestBoundaryConstants:
     def test_univariate_total(self):
-        c = boundary_constants(17, GFMode.UNIVARIATE)
-        total = 1 + c["g0"] + c["h0"] + c["k0"]
-        assert total.integer_coefficients() == [
+        assert _boundary_total(17, GFMode.UNIVARIATE).integer_coefficients() == [
             1, 0, 1, 0, 2, 0, 6, 0, 20, 0, 71, 0, 262, 0, 994, 0, 3852,
         ]
 
     def test_bivariate_total(self):
-        c = boundary_constants(9, GFMode.BIVARIATE)
-        total = 1 + c["g0"] + c["h0"] + c["k0"]
-        got = total.integer_coefficients()
+        got = _boundary_total(9, GFMode.BIVARIATE).integer_coefficients()
         assert [list(p.coeffs) if p.coeffs else [0] for p in got] == [
             [1], [0], [1], [0], [2, 1], [0], [6, 4], [0], [20, 16],
         ]
@@ -138,8 +139,7 @@ class TestLevelGF:
             assert level_gf(k, 60, mode) == _level_gf_by_powers(k, 60, mode), k
 
     def test_level0_equals_boundary_total(self):
-        c = boundary_constants(16, GFMode.UNIVARIATE)
-        total = 1 + c["g0"] + c["h0"] + c["k0"]
+        total = _boundary_total(16, GFMode.UNIVARIATE)
         assert level_gf(0, 16, GFMode.UNIVARIATE).coeffs == total.coeffs
 
     def test_level1_single_path(self):
@@ -165,6 +165,26 @@ class TestLevelGF:
                 assert forb.coeffs[m] == count(m, k)(0), (k, m)
 
 
+class TestSolveOrders:
+    """The order each route solves the kernel cubic at, which no value
+    shows: a longer solve gives the same truncated series, only later.
+    The autouse cold_roots fixture starts each case with no kept root."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 20])
+    @pytest.mark.parametrize("mode", list(GFMode))
+    def test_level_gf_solves_to_the_surviving_terms(self, mode, order):
+        for k in range(order):
+            series._ROOTS.clear()
+            level_gf(k, order, mode)
+            assert series._ROOTS[("kernel", mode)].order == order - k + 2, k
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 20])
+    @pytest.mark.parametrize("mode", list(GFMode))
+    def test_boundary_constants_solve_at_their_order(self, mode, order):
+        boundary_constants(order, mode)
+        assert series._ROOTS[("kernel", mode)].order == order
+
+
 class TestInversePower:
     @given(st.lists(st.integers(min_value=-9, max_value=9), max_size=7), st.integers(min_value=0, max_value=6))
     @settings(max_examples=100)
@@ -186,12 +206,10 @@ class TestInversePower:
 
 class TestIdentities:
     def test_boundary_identity_univariate(self):
-        lhs, rhs = identity_total(20, GFMode.UNIVARIATE)
-        assert lhs.agrees_with(rhs)
+        assert _boundary_total(20, GFMode.UNIVARIATE).agrees_with(level_gf(0, 20, GFMode.UNIVARIATE))
 
     def test_boundary_identity_bivariate(self):
-        lhs, rhs = identity_total(14, GFMode.BIVARIATE)
-        assert lhs.agrees_with(rhs)
+        assert _boundary_total(14, GFMode.BIVARIATE).agrees_with(level_gf(0, 14, GFMode.BIVARIATE))
 
     def test_half_length_collapse(self):
         lvl0 = level_gf(0, 40, GFMode.UNIVARIATE).compress_even()

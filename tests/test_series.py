@@ -54,6 +54,12 @@ class TestArithmetic:
         with pytest.raises(RingMismatch):
             poly(1) + poly(1, ring=QT)
 
+    def test_scalar_subtraction(self):
+        assert (poly(1, 2, order=3) - 5).coeffs == (-4, 2, 0)
+        assert (5 - poly(1, 2, order=3)).coeffs == (4, -2, 0)
+        got = poly(TPoly(1), TPoly(2), order=2, ring=QT) - TPoly([0, 1])
+        assert got.coeffs == (TPoly([1, -1]), TPoly(2))
+
     @given(small_series, small_series, small_series)
     @settings(max_examples=60)
     def test_ring_axioms(self, a, b, c):

@@ -23,9 +23,9 @@ ROUTES = {
 }
 
 REQUESTS = {
-    "ascending": [2, 3, 8, 13, 31],
-    "descending": [31, 13, 8, 3, 2],
-    "interleaved": [8, 2, 31, 3, 40, 13, 31, 8],
+    "ascending": [1, 2, 3, 8, 13, 31],
+    "descending": [31, 13, 8, 3, 2, 1],
+    "interleaved": [8, 2, 31, 1, 3, 40, 13, 31, 8],
 }
 
 
@@ -40,7 +40,7 @@ def test_served_root_equals_a_cold_solve(route, requests):
         assert got == want, (route, order)
 
 
-@pytest.mark.parametrize("route", ["avoidance", "marker"])
+@pytest.mark.parametrize("route", ROUTES)
 def test_orders_below_two_match_a_cold_solve(route):
     served, equation, _ = ROUTES[route]
     served(20)

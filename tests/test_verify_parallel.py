@@ -30,10 +30,16 @@ def forks(monkeypatch):
     return calls
 
 
+def _own_cpus():
+    """Every CPU this process may use: a valid set to pin the child to
+    even where there is only one, and so the fork path on any machine."""
+    return os.sched_getaffinity(0)
+
+
 @pytest.fixture
-def two_cpus(monkeypatch):
+def pinnable(monkeypatch):
     """Take the fork path whatever CPUs this machine lets the test use."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_other_cpus", _own_cpus)
 
 
 def _no_child_left():
@@ -43,10 +49,10 @@ def _no_child_left():
 
 @pytest.mark.parametrize("depth", range(1, 13))
 def test_fork_and_serial_paths_agree(depth, forks, monkeypatch):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_other_cpus", _own_cpus)
     forked = verify.run_all(depth)
     assert forks == [1]
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(verify, "_other_cpus", set)
     serial = verify.run_all(depth)
     assert forks == [1]
     assert forked == serial
@@ -55,7 +61,30 @@ def test_fork_and_serial_paths_agree(depth, forks, monkeypatch):
     _no_child_left()
 
 
-def test_live_thread_keeps_the_serial_path(forks, two_cpus):
+def test_no_other_cpu_keeps_the_serial_path(forks, monkeypatch):
+    monkeypatch.setattr(verify, "_other_cpus", set)
+    results = verify.run_all(8)
+    assert forks == []
+    assert results[0] == verify.CheckResult("dp-vs-oracle", True, "all lengths <= 8")
+    assert len(results) == len(verify.CHECKS) and all(r.ok for r in results)
+
+
+def test_child_runs_on_the_cpus_it_is_given(forks, monkeypatch):
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(verify, "_other_cpus", lambda: {cpu})
+
+    def affinity(depth):
+        return verify.CheckResult("dp-vs-oracle", True, repr(sorted(os.sched_getaffinity(0))))
+
+    monkeypatch.setattr(verify, "check_dp_vs_oracle", affinity)
+    monkeypatch.setattr(verify, "CHECKS", [affinity, *verify.CHECKS[1:]])
+    results = verify.run_all(4)
+    assert forks == [1]
+    assert results[0].detail == repr([cpu])
+    _no_child_left()
+
+
+def test_live_thread_keeps_the_serial_path(forks, pinnable):
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -68,7 +97,7 @@ def test_live_thread_keeps_the_serial_path(forks, two_cpus):
     assert all(r.ok for r in results)
 
 
-def test_exception_in_the_child_reaches_the_caller(forks, two_cpus, monkeypatch):
+def test_exception_in_the_child_reaches_the_caller(forks, pinnable, monkeypatch):
     def broken(max_length):
         raise KeyError("walk")
 
@@ -79,7 +108,7 @@ def test_exception_in_the_child_reaches_the_caller(forks, two_cpus, monkeypatch)
     _no_child_left()
 
 
-def test_child_that_dies_leaves_the_oracle_to_the_parent(forks, two_cpus, monkeypatch):
+def test_child_that_dies_leaves_the_oracle_to_the_parent(forks, pinnable, monkeypatch):
     parent = os.getpid()
     real = paths.udr_profile
     monkeypatch.setattr(paths, "udr_profile", lambda m: os._exit(3) if os.getpid() != parent else real(m))
@@ -89,7 +118,7 @@ def test_child_that_dies_leaves_the_oracle_to_the_parent(forks, two_cpus, monkey
     _no_child_left()
 
 
-def test_exception_in_the_parent_kills_and_reaps_the_child(forks, two_cpus, monkeypatch):
+def test_exception_in_the_parent_kills_and_reaps_the_child(forks, pinnable, monkeypatch):
     monkeypatch.setattr(paths, "udr_profile", lambda m: time.sleep(60))
 
     def broken():
@@ -111,11 +140,22 @@ def test_child_cpus_leave_out_the_parents_only():
     assert cpus < usable and len(cpus) == len(usable) - 1
 
 
+def test_no_cpus_where_the_system_cannot_say(monkeypatch):
+    def unreadable(*args):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(verify, "open", unreadable, raising=False)
+    assert verify._other_cpus() == set()
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    assert verify._other_cpus() == set()
+
+
 def test_child_flushes_nothing_and_runs_no_exit_handler():
     code = (
-        "import atexit, sys\n"
+        "import atexit, os, sys\n"
         "from skewdyck import verify\n"
-        "verify._usable_cpus = lambda: 2\n"
+        "verify._other_cpus = lambda: os.sched_getaffinity(0)\n"
         "atexit.register(lambda: sys.stdout.write('exit\\n'))\n"
         "sys.stdout.write('buffered\\n')\n"
         "print(sum(r.ok for r in verify.run_all(6)))\n"
