@@ -26,6 +26,8 @@ SQRT3 = math.sqrt(3.0)
 Z0 = (2.0 / 11.0) * (3.0 * SQRT3 - 4.0)
 GROWTH = 2.0 + 1.5 * SQRT3  # 1 / Z0
 AMPLITUDE = math.sqrt(2.0 + 8.0 * SQRT3 / 9.0) / (2.0 * math.sqrt(math.pi))
+# Half-lengths that `asympt` reports by default and `verify` samples.
+SAMPLE_NS = (50, 100, 200, 400, 800, 1600)
 
 
 def dominant_singularity_numeric() -> float:

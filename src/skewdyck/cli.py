@@ -27,7 +27,6 @@ from . import paths
 from .rings import TPoly
 
 DEFAULT_ORDER = 16
-ASYMPT_NS = (50, 100, 200, 400, 800, 1600)
 ASYMPT_CAP = 20000  # largest --n; s_20000 has 13 245 digits
 # Upper caps on the other sizes, chosen from timings: at most about 11 s
 # of work at any cap on a 2-core Xeon guest (README lists them).
@@ -157,12 +156,12 @@ def cmd_levels(args) -> int:
 
     mode = kernel.GFMode.UNIVARIATE if args.t_eval == "zero" else kernel.GFMode.BIVARIATE
     gf = kernel.level_gf(args.level, args.order, mode)
+    if args.half_length:
+        gf = gf.compress_even()
     if mode is kernel.GFMode.BIVARIATE:
         coeffs = [_eval_tpoly(c, args.t_eval) for c in gf.integer_coefficients()]
     else:
         coeffs = gf.integer_coefficients()
-    if args.half_length:
-        coeffs = coeffs[0::2]
     variable = "z(half)" if args.half_length else "z"
     _emit_sequence(args, coeffs, variable, str(args.t_eval))
     return 0
@@ -189,7 +188,7 @@ def cmd_verify(args) -> int:
 def cmd_asympt(args) -> int:
     from . import asymptotics, holonomic
 
-    ns = args.n or list(ASYMPT_NS)
+    ns = args.n or asymptotics.SAMPLE_NS
     coeffs = holonomic.extend(holonomic.INITIAL, max(max(ns), 3))
     rows = asymptotics.convergence_report(ns, coeffs)
     # s_n passes CPython's 4300-digit int-to-str limit at n = 6499; --n is

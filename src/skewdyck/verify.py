@@ -1,9 +1,23 @@
 """Cross-verification suite: every computational route against every other.
 
-Each check compares two independently computed objects (brute force,
-automaton, kernel series, algebraic solver, recurrence, ODE,
-asymptotics, vendored golden values) and returns a pass/fail record.
-The CLI `verify` subcommand runs them in a fixed order.
+Each check compares two sources and returns a pass/fail record; the CLI
+`verify` subcommand runs them in this order:
+
+    dp-vs-oracle          automaton vs brute-force walk (`paths`)
+    kernel-residual       kernel root vs the cubic it was solved from: a
+                          route against itself, so a solver check
+    kernel-root-display   kernel root vs vendored golden display
+    series-vs-golden      avoidance cubic's root vs vendored A128729
+    bivariate-vs-golden   marker cubic's root vs vendored A128728
+    level-gf-vs-dp        kernel level series vs automaton, both modes
+    half-length-collapse  kernel level 0 at z^2 -> Z vs both cubics' roots
+    transformed-cubic     kernel level 0 at z^2 -> Z vs the avoidance cubic
+    recurrence-vs-solver  holonomic recurrence vs avoidance cubic's root
+    ode-residual          transcribed ODE vs avoidance cubic's root
+    boundary-identity     boundary constants vs level 0: one kernel root,
+                          two formulas
+    asymptotics           closed-form z0 vs bisection on the avoidance
+                          cubic; recurrence terms vs the estimate
 
 `run_all` takes one of two paths, with the same results in the same
 order.  When the process can fork, no other thread is alive and it can
@@ -97,8 +111,6 @@ def check_bivariate_vs_golden() -> CheckResult:
 
 
 def check_level_gfs() -> CheckResult:
-    """Kernel-method level series against one walk of the automaton,
-    marker-tracked and with the pattern forbidden (t = 0)."""
     levels = range(7)
     track = [kernel.level_gf(k, 17, kernel.GFMode.BIVARIATE) for k in levels]
     forbid = [kernel.level_gf(k, 17, kernel.GFMode.UNIVARIATE) for k in levels]
@@ -118,9 +130,6 @@ def check_level_gfs() -> CheckResult:
 
 
 def check_half_length_collapse() -> CheckResult:
-    """The kernel's level-0 series at z^2 -> Z against the half-length
-    solver series: the avoidance series in the univariate mode, the
-    marker series in the bivariate one."""
     solvers = ((kernel.GFMode.UNIVARIATE, cubics.avoidance_series), (kernel.GFMode.BIVARIATE, cubics.marker_series))
     for mode, solver in solvers:
         lvl0 = kernel.level_gf(0, 48, mode).compress_even()
@@ -131,7 +140,8 @@ def check_half_length_collapse() -> CheckResult:
 
 
 def check_transformed_cubic() -> CheckResult:
-    diff = _residual(cubics.transformed_cubic().apply(cubics.avoidance_series(30)), "Z")
+    lvl0 = kernel.level_gf(0, 60, kernel.GFMode.UNIVARIATE).compress_even()
+    diff = _residual(cubics.avoidance_cubic().apply(lvl0), "Z")
     return CheckResult("transformed-cubic", not diff, diff or "residual mod Z^30")
 
 
@@ -148,8 +158,6 @@ def check_ode() -> CheckResult:
 
 
 def check_boundary_identity() -> CheckResult:
-    """1 + g0 + h0 + k0 from the boundary constants against the level-0
-    series (1 - utilde) / z^2."""
     for mode in kernel.GFMode:
         consts = kernel.boundary_constants(20, mode)
         constants = 1 + consts["g0"] + consts["h0"] + consts["k0"]
@@ -165,12 +173,11 @@ def check_asymptotics() -> CheckResult:
     numeric = asymptotics.dominant_singularity_numeric()
     if abs(numeric - z0) > 1e-12:
         return CheckResult("asymptotics", False, f"numeric z0 {numeric!r} disagrees with closed form {z0!r}")
-    coeffs = holonomic.extend(holonomic.INITIAL, 1600)
+    coeffs = holonomic.extend(holonomic.INITIAL, max(asymptotics.SAMPLE_NS))
     ratio_1000 = asymptotics.coefficient_ratio(1000, coeffs)
     if not 0.99 <= ratio_1000 <= 1.01:
         return CheckResult("asymptotics", False, f"ratio at n=1000 is {ratio_1000}")
-    ns = (50, 100, 200, 400, 800, 1600)
-    devs = [abs(asymptotics.coefficient_ratio(n, coeffs) - 1.0) for n in ns]
+    devs = [abs(asymptotics.coefficient_ratio(n, coeffs) - 1.0) for n in asymptotics.SAMPLE_NS]
     if any(b >= a for a, b in zip(devs, devs[1:])):
         return CheckResult("asymptotics", False, f"deviations not shrinking: {devs}")
     return CheckResult("asymptotics", True, f"ratio(1000)={ratio_1000:.6f}")

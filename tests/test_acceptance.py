@@ -9,7 +9,7 @@ import time
 
 from skewdyck import automaton, golden
 from skewdyck.asymptotics import AMPLITUDE, GROWTH, Z0, coefficient_ratio, dominant_singularity_numeric
-from skewdyck.cubics import avoidance_series, marker_series, transformed_cubic
+from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_series
 from skewdyck.holonomic import extend, ode_residual
 from skewdyck.kernel import GFMode, kernel_equation, kernel_root, level_gf
 from skewdyck.paths import udr_profile
@@ -100,9 +100,10 @@ def test_06_holonomic_consistency():
 
 
 def test_07_transformation_chain():
-    s = avoidance_series(30)
-    assert transformed_cubic().apply(s).is_zero()
-    report(7, "half-length series satisfies the transformed cubic to order 30")
+    assert avoidance_cubic().apply(avoidance_series(30)).is_zero()
+    lvl0 = level_gf(0, 60, GFMode.UNIVARIATE).compress_even()
+    assert avoidance_cubic().apply(lvl0).is_zero()
+    report(7, "solver series and kernel level-0 series at z^2 -> Z satisfy the avoidance cubic to order 30")
 
 
 def test_08_asymptotics():

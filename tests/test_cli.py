@@ -24,7 +24,7 @@ from skewdyck.cli import (
 )
 from skewdyck.paths import ORACLE_CAP
 from skewdyck.rings import QQ, QT, T, TPoly
-from skewdyck.series import AlgEquation, ZSeries
+from skewdyck.series import ZSeries
 
 
 @pytest.fixture
@@ -112,6 +112,11 @@ class TestLevels:
         _, levels_out, _ = capout("levels", "0", "--order", "17", "--t-eval", "zero", "--half-length")
         _, series_out, _ = capout("series", "--order", "9", "--half-length")
         assert levels_out == series_out
+        _, half_out, _ = capout("levels", "2", "--order", "12", "--half-length")
+        assert half_out == "[0] [1] [3] [9 1] [29 8] [100 45]\n"
+        _, half_json, _ = capout("levels", "2", "--order", "12", "--half-length", "--format", "json")
+        _, full_json, _ = capout("levels", "2", "--order", "12", "--format", "json")
+        assert json.loads(half_json)["sequence"] == json.loads(full_json)["sequence"][0::2]
 
 
 class TestVerify:
@@ -240,14 +245,13 @@ class TestVerify:
         )
 
     def test_wrong_transformed_cubic_names_power_and_residual(self, capout, monkeypatch):
-        transformed_cubic = cubics.transformed_cubic
+        level_gf = kernel.level_gf
 
-        def plus_2_z5():
-            polys = [list(p) for p in transformed_cubic().coeff_polys]
-            polys[0] += [0, 0, 2]
-            return AlgEquation(polys, QQ)
+        def off_at_z10(k, order, mode):  # only the transformed-cubic check asks for order 60
+            gf = level_gf(k, order, mode)
+            return gf + ZSeries([0] * 10 + [2], order, gf.ring) if order == 60 else gf
 
-        monkeypatch.setattr(cubics, "transformed_cubic", plus_2_z5)
+        monkeypatch.setattr(kernel, "level_gf", off_at_z10)
         self._only_failure(capout, 7, "FAIL transformed-cubic  (at Z^5: residual 2)")
 
     def test_wrong_ode_input_names_power_and_residual(self, capout, monkeypatch):

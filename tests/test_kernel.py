@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import golden, series
+import inspect
+
+from skewdyck import cubics, golden, kernel, series, verify
 from skewdyck.automaton import count
-from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_series, transformed_cubic
+from skewdyck.cubics import avoidance_cubic, avoidance_series, marker_cubic, marker_series
 from skewdyck.kernel import (
     GFMode,
     boundary_constants,
@@ -12,8 +14,8 @@ from skewdyck.kernel import (
     kernel_root,
     level_gf,
 )
-from skewdyck.rings import QQ, TPoly
-from skewdyck.series import DivisionByNonUnit, ZSeries, divide
+from skewdyck.rings import QQ, QT, T, TPoly
+from skewdyck.series import AlgEquation, DivisionByNonUnit, ZSeries, divide
 
 
 class TestKernelRoot:
@@ -221,9 +223,124 @@ class TestIdentities:
 
     def test_transformation_chain(self):
         compressed = level_gf(0, 40, GFMode.UNIVARIATE).compress_even()
-        assert transformed_cubic().apply(compressed).is_zero()
+        assert avoidance_cubic().apply(compressed).is_zero()
+
+    def test_transformation_chain_bivariate(self):
+        compressed = level_gf(0, 60, GFMode.BIVARIATE).compress_even()
+        assert marker_cubic().apply(compressed).is_zero()
 
     def test_cancellation_div_example(self):
         ut = kernel_root(12, GFMode.UNIVARIATE)
         out = divide(1 - ut, ZSeries([0, 0, 1], 12, QQ))
         assert out.coeffs[:6] == (1, 0, 1, 0, 2, 0)
+
+
+def _at(polys, x, y):
+    """sum_i c_i(x) y^i for the coefficient polynomials c_i of an
+    equation, with series x and y in place of its variable and unknown
+    (Horner in both)."""
+
+    def poly_at(p):
+        acc = ZSeries((), x.order, x.ring)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    acc = ZSeries((), x.order, x.ring)
+    for p in reversed(polys):
+        acc = acc * y + poly_at(p)
+    return acc
+
+
+class TestRationalParametrization:
+    """The kernel curve is rational in a parameter v.  With
+
+        P = 1 - v - v^2 - (1 - t) v^3,   Z = v (1 - 2v) / P,
+        utilde = (1 - 2v) / P,   H = (1 - v - (1 - t) v^2) / (1 - 2v),
+
+    (Z, H) is a zero of the marker cubic and (Z, utilde) of the kernel
+    cubic in Z = z^2.  Cleared of their denominators, P^2 (1 - 2v)^3 and
+    P^3, the residuals have degree <= 10 and <= 6 in v, so vanishing mod
+    v^12 makes each an identity in Z[t][v].  This ties the marker cubic
+    transcribed in `cubics` to the kernel cubic transcribed in `kernel`
+    with no truncation."""
+
+    ORDER = 12
+
+    @pytest.fixture
+    def curve(self):
+        v = ZSeries([0, 1], self.ORDER, QT)
+        p = 1 - v - v * v - v * v * v * (1 - T)
+        return {
+            "Z": divide(v * (1 - 2 * v), p),
+            "utilde": divide(1 - 2 * v, p),
+            "H": divide(1 - v - v * v * (1 - T), 1 - 2 * v),
+        }
+
+    def test_marker_cubic_vanishes(self, curve):
+        assert _at(marker_cubic().coeff_polys, curve["Z"], curve["H"]).is_zero()
+
+    def test_kernel_cubic_vanishes(self, curve):
+        polys = kernel_equation(GFMode.BIVARIATE).coeff_polys
+        assert not any(c for p in polys for c in p[1::2])  # a cubic in z^2
+        assert _at([p[0::2] for p in polys], curve["Z"], curve["utilde"]).is_zero()
+
+    def test_level0_is_one_minus_utilde_over_z(self, curve):
+        assert divide(1 - curve["utilde"], curve["Z"]) == curve["H"].truncate(self.ORDER - 1)
+
+
+def _built_equations():
+    """(label, equation) for every AlgEquation that `cubics` and `kernel`
+    build, found by the builders' return annotation so that a new builder
+    is covered too; a builder that takes an argument takes the mode."""
+    for module in (cubics, kernel):
+        for name, fn in sorted(vars(module).items()):
+            if not inspect.isfunction(fn) or fn.__annotations__.get("return") != "AlgEquation":
+                continue
+            if inspect.signature(fn).parameters:
+                for mode in GFMode:
+                    yield f"{name}({mode.value})", fn(mode)
+            else:
+                yield name, fn()
+
+
+def _normal_form(polys):
+    """Each coefficient as a tuple of ints in t, each polynomial without
+    trailing zeros, so that Z and Z[t] equations compare."""
+    out = []
+    for p in polys:
+        cs = [c.coeffs if isinstance(c, TPoly) else ((c,) if c else ()) for c in p]
+        while cs and not cs[-1]:
+            cs.pop()
+        out.append(tuple(cs))
+    return tuple(out)
+
+
+def test_no_equation_is_written_twice():
+    """Two transcriptions of one equation, or of its negation, check
+    nothing against each other."""
+    built = dict(_built_equations())
+    assert {"marker_cubic", "avoidance_cubic", "kernel_equation(univariate)", "kernel_equation(bivariate)"} <= built.keys()
+    forms = {label: _normal_form(eq.coeff_polys) for label, eq in built.items()}
+    negated = {label: _normal_form([[-c for c in p] for p in eq.coeff_polys]) for label, eq in built.items()}
+    for a in forms:
+        for b in forms:
+            assert forms[a] != negated[b], (a, b)
+            assert a == b or forms[a] != forms[b], (a, b)
+
+
+def test_transformed_cubic_catches_a_mistranscribed_kernel_cubic(monkeypatch):
+    """A kernel cubic with its -z^4 utilde term doubled still has a root
+    that satisfies it, so kernel-residual passes; transformed-cubic holds
+    the level-0 series to the avoidance cubic and fails."""
+    kernel_equation = kernel.kernel_equation
+
+    def doubled_z4(mode):
+        eq = kernel_equation(mode)
+        polys = [list(p) for p in eq.coeff_polys]
+        polys[1][4] *= 2
+        return AlgEquation(polys, eq.ring)
+
+    monkeypatch.setattr(kernel, "kernel_equation", doubled_z4)
+    assert verify.check_kernel_residual().ok
+    assert verify.check_transformed_cubic() == ("transformed-cubic", False, "at Z^1: residual -1")

@@ -8,7 +8,6 @@ from skewdyck.cubics import (
     avoidance_series,
     marker_cubic,
     marker_series,
-    transformed_cubic,
 )
 from skewdyck.rings import QQ, QT, TPoly
 from skewdyck.series import (
@@ -173,8 +172,8 @@ class TestResidual:
         # direct substitution: -z + 2 z^2 + 0 z^3
         assert r.coeffs == (0, Fraction(-1), Fraction(2), 0)
 
-    def test_transformed_cubic(self):
-        assert transformed_cubic().apply(avoidance_series(30)).is_zero()
+    def test_kept_series_satisfies_avoidance_cubic(self):
+        assert avoidance_cubic().apply(avoidance_series(30)).is_zero()
 
 
 class TestSerialization:
