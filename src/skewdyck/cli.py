@@ -223,7 +223,7 @@ def cmd_render(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     svg = paths.render_svg(path, args.unit_px)
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(svg)

@@ -33,11 +33,6 @@ class TPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -151,7 +146,7 @@ def _to_int(x) -> int:
 
 
 class IntegerRing:
-    """Coefficient ring of exact integers; the units are +1 and -1."""
+    """Coefficient ring of exact integers."""
 
     name = "Z"
     zero = 0
@@ -159,9 +154,6 @@ class IntegerRing:
 
     def coerce(self, x) -> int:
         return _to_int(x)
-
-    def is_unit(self, x) -> bool:
-        return x == 1 or x == -1
 
     def divexact(self, x, d):
         """x / d if d divides x exactly, else None."""
@@ -180,9 +172,6 @@ class TPolyRing:
         if isinstance(x, TPoly):
             return TPoly(tuple(map(_to_int, x.coeffs)))
         return TPoly(_to_int(x))
-
-    def is_unit(self, x) -> bool:
-        return x.degree == 0 and x.coeffs[0] in (1, -1)
 
     def divexact(self, x, d):
         """x / d for a nonzero int d (kernel.inverse_power) if d divides

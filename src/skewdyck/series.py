@@ -6,10 +6,9 @@ operations return the minimum of the input orders, so precision loss is
 always visible in the result type.  Algebraic equations P(z, S) = 0 with
 a simple root at the origin are solved by Newton iteration.
 
-Coefficients stay in Z or Z[t] throughout, because every division is
-by a unit: once its z power is stripped, a divisor's first coefficient
-must be +1 or -1, which is its own inverse, and `divide` raises
-DivisionByNonUnit for any other.  The Newton solver likewise requires
+Coefficients stay in Z or Z[t] throughout, because every divisor has
+constant term +1 or -1, its own inverse: `divide` raises
+DivisionByNonUnit for any other, and the Newton solver requires
 dP/dS = +1 or -1 at the origin, so each correction is such a division.
 That holds for everything this package solves and divides: dP/dS is 1
 at the origin for the avoidance, marker and kernel cubics, and the
@@ -152,7 +151,7 @@ class ZSeries:
     def shift(self, k: int) -> "ZSeries":
         """Multiply by z^k; the result is known modulo z^(order + k)."""
         if k < 0:
-            raise ValueError("negative shift; use divide() with a z power")
+            raise ValueError("negative shift")
         zero = self.ring.zero
         return ZSeries._raw((zero,) * k + self.coeffs, self.order + k, self.ring)
 
@@ -197,27 +196,17 @@ def _as_int(c) -> int:
 def divide(a: ZSeries, b: ZSeries) -> ZSeries:
     """a / b, exact in the coefficient ring.
 
-    If b has valuation v > 0, a must vanish below z^v too, and the
-    common z power is stripped from both first (the order drops by v).
-    The first remaining coefficient b0 of b must then be a unit, +1 or
-    -1, and one pass gives q_k = b0 (a_k - sum_{j=1..k} b_j q_{k-j}).
+    The constant term b0 of b must be +1 or -1, its own inverse, and one
+    pass gives q_k = b0 (a_k - sum_{j=1..k} b_j q_{k-j}).
     """
     a._check(b)
-    v = b.valuation()
-    if v is None:
-        raise DivisionByNonUnit("division by the zero series")
-    av = a.valuation()
-    if av is not None and av < v:
-        raise DivisionByNonUnit(f"numerator valuation {av} below denominator valuation {v}")
-    n = min(a.order, b.order) - v
-    if n < 1:
-        raise DivisionByNonUnit("no coefficients left after valuation stripping")
     ring = a.ring
-    b0 = b.coeffs[v]
-    if not ring.is_unit(b0):
+    b0 = b.coeffs[0]
+    if b0 not in (ring.one, -ring.one):
         raise DivisionByNonUnit(f"leading coefficient {b0} is not +1 or -1")
     negate = b0 != ring.one
-    num, den = a.coeffs[v:], b.coeffs[v + 1 : v + n]
+    n = min(a.order, b.order)
+    num, den = a.coeffs, b.coeffs[1:n]
     q = []
     for k in range(n):
         r = num[k] - sum(map(mul, den[:k], reversed(q)), ring.zero)
@@ -270,17 +259,6 @@ class AlgEquation:
         return AlgEquation([[c(t_value) for c in p] for p in self.coeff_polys], QQ)
 
 
-def _check_simple_root(eq: AlgEquation, s0) -> None:
-    """Check that P(0, s0) = 0 and that dP/dS(0, s0) is +1 or -1."""
-    at_origin = ZSeries._raw((s0,), 1, eq.ring)
-    value = eq.apply(at_origin).coeffs[0]
-    if value:
-        raise NotARoot(f"P(0, {s0!r}) = {value!r} != 0")
-    deriv = eq.derivative().apply(at_origin).coeffs[0] if eq.degree else eq.ring.zero
-    if not eq.ring.is_unit(deriv):
-        raise SingularRoot(f"dP/dS(0, {s0!r}) = {deriv!r} is not +1 or -1")
-
-
 def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling") -> ZSeries:
     """Unique series root with constant term s0, by Newton iteration.
 
@@ -299,9 +277,14 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
         raise ValueError(f"unknown schedule {schedule!r}")
     ring = eq.ring
     s0 = ring.coerce(s0)
-    _check_simple_root(eq, s0)
-    deq = eq.derivative()
     s = ZSeries._raw((s0,), 1, ring)
+    value = eq.apply(s).coeffs[0]
+    if value:
+        raise NotARoot(f"P(0, {s0!r}) = {value!r} != 0")
+    deq = eq.derivative() if eq.degree else None  # None: S does not occur
+    slope = deq.apply(s).coeffs[0] if eq.degree else ring.zero
+    if slope not in (ring.one, -ring.one):
+        raise SingularRoot(f"dP/dS(0, {s0!r}) = {slope!r} is not +1 or -1")
     while s.order < order:
         k = s.order
         target = min(2 * k, order) if schedule == "doubling" else k + 1

@@ -176,7 +176,7 @@ def check_asymptotics() -> CheckResult:
     coeffs = holonomic.extend(holonomic.INITIAL, max(asymptotics.SAMPLE_NS))
     ratio_1000 = asymptotics.coefficient_ratio(1000, coeffs)
     if not 0.99 <= ratio_1000 <= 1.01:
-        return CheckResult("asymptotics", False, f"ratio at n=1000 is {ratio_1000}")
+        return CheckResult("asymptotics", False, f"ratio at n=1000 is {ratio_1000} outside [0.99, 1.01]")
     devs = [abs(asymptotics.coefficient_ratio(n, coeffs) - 1.0) for n in asymptotics.SAMPLE_NS]
     if any(b >= a for a, b in zip(devs, devs[1:])):
         return CheckResult("asymptotics", False, f"deviations not shrinking: {devs}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import automaton, cubics, golden, holonomic, kernel, paths
+from skewdyck import asymptotics, automaton, cubics, golden, holonomic, kernel, paths
 from skewdyck.cli import (
     ASYMPT_CAP,
     BIVARIATE_CAP,
@@ -273,6 +273,26 @@ class TestVerify:
             capout, 10, "FAIL boundary-identity  (bivariate mode, at n=6: constants 6 + 5*t vs level-0 6 + 4*t)"
         )
 
+    def test_wrong_closed_form_z0_names_both_values(self, capout, monkeypatch):
+        z0 = asymptotics.Z0 * (1 + 1e-9)
+        monkeypatch.setattr(asymptotics, "Z0", z0)
+        numeric = asymptotics.dominant_singularity_numeric()
+        self._only_failure(
+            capout, 11, f"FAIL asymptotics  (numeric z0 {numeric!r} disagrees with closed form {z0!r})"
+        )
+
+    def test_wrong_amplitude_names_ratio_and_window(self, capout, monkeypatch):
+        monkeypatch.setattr(asymptotics, "AMPLITUDE", asymptotics.AMPLITUDE * 1.02)
+        ratio = asymptotics.coefficient_ratio(1000, holonomic.extend(holonomic.INITIAL, 1000))
+        assert 0.978 < ratio < 0.98
+        self._only_failure(capout, 11, f"FAIL asymptotics  (ratio at n=1000 is {ratio} outside [0.99, 1.01])")
+
+    def test_growing_deviations_fail(self, capout, monkeypatch):
+        monkeypatch.setattr(asymptotics, "SAMPLE_NS", asymptotics.SAMPLE_NS[::-1])
+        coeffs = holonomic.extend(holonomic.INITIAL, max(asymptotics.SAMPLE_NS))
+        devs = [abs(asymptotics.coefficient_ratio(n, coeffs) - 1.0) for n in asymptotics.SAMPLE_NS]
+        self._only_failure(capout, 11, f"FAIL asymptotics  (deviations not shrinking: {devs})")
+
 
 class TestAsympt:
     def test_table(self, capout):
@@ -333,6 +353,8 @@ class TestRender:
         assert code == 2
         assert out == ""
         assert "cannot write" in err and "Traceback" not in err
+        code, out, err = capout("render", "UD", "-o", "")  # an empty path is a path, not stdout
+        assert (code, out, err) == (2, "", "cannot write : No such file or directory\n")
 
     def test_invalid_word(self, capout):
         code, _, err = capout("render", "UR")

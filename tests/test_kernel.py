@@ -28,6 +28,13 @@ class TestKernelRoot:
         for mode in GFMode:
             assert kernel_equation(mode).apply(kernel_root(32, mode)).is_zero()
 
+    def test_newton_with_slope_minus_one(self):
+        # the negated cubic has dP/dS = -1 at the origin and the same root
+        eq = kernel_equation(GFMode.BIVARIATE)
+        negated = AlgEquation([[-c for c in p] for p in eq.coeff_polys], QT)
+        assert negated.derivative().apply(ZSeries([1], 1, QT)).coeffs == (-TPoly(1),)
+        assert series.solve_algebraic(negated, 1, 24) == kernel_root(24, GFMode.BIVARIATE)
+
     def test_bivariate_at_t0_equals_univariate(self):
         uni = kernel_root(20, GFMode.UNIVARIATE)
         biv = kernel_root(20, GFMode.BIVARIATE)
@@ -128,7 +135,9 @@ def _level_gf_by_powers(k, order, mode):
     """The former level_gf: divide by utilde^k formed by repeated products."""
     keep = order - k
     ut = kernel_root(keep + 2, mode)
-    base = divide(1 - ut, ZSeries([0, 0, 1], keep + 2, ut.ring))
+    num = 1 - ut
+    assert not num.coeffs[0] and not num.coeffs[1]
+    base = ZSeries(num.coeffs[2:], keep, ut.ring)  # the division by z^2
     if k:
         base = divide(base, _power(ut.truncate(keep), k))
     return base.shift(k)
@@ -230,9 +239,11 @@ class TestIdentities:
         assert marker_cubic().apply(compressed).is_zero()
 
     def test_cancellation_div_example(self):
-        ut = kernel_root(12, GFMode.UNIVARIATE)
-        out = divide(1 - ut, ZSeries([0, 0, 1], 12, QQ))
-        assert out.coeffs[:6] == (1, 0, 1, 0, 2, 0)
+        # divide takes no z power: level_gf cancels the z^2 by a slice
+        num = 1 - kernel_root(12, GFMode.UNIVARIATE)
+        with pytest.raises(DivisionByNonUnit, match="leading coefficient 0"):
+            divide(num, ZSeries([0, 0, 1], 12, QQ))
+        assert num.coeffs[:8] == (0, 0, 1, 0, 1, 0, 2, 0)
 
 
 def _at(polys, x, y):
@@ -286,7 +297,7 @@ class TestRationalParametrization:
         assert _at([p[0::2] for p in polys], curve["Z"], curve["utilde"]).is_zero()
 
     def test_level0_is_one_minus_utilde_over_z(self, curve):
-        assert divide(1 - curve["utilde"], curve["Z"]) == curve["H"].truncate(self.ORDER - 1)
+        assert curve["Z"] * curve["H"] == 1 - curve["utilde"]
 
 
 def _built_equations():

@@ -113,10 +113,9 @@ def ref_inverse(R, a):
 
 
 def ref_divide(R, a, b):
-    """Strip the valuation of b from both, then multiply by the inverse."""
-    v = next(i for i, c in enumerate(b) if c != R.zero)
-    n = min(len(a), len(b)) - v
-    return ref_mul(R, a[v : v + n], ref_inverse(R, b[v : v + n]))
+    """a times the inverse of b, whose constant term must be invertible."""
+    n = min(len(a), len(b))
+    return ref_mul(R, a[:n], ref_inverse(R, b[:n]))
 
 
 def ref_poly(R, coeffs, n):
@@ -180,7 +179,7 @@ def solve_undetermined(eq, s0, order):
     ring = eq.ring
     at_origin = ZSeries([s0], 1, ring)
     d0 = eq.derivative().apply(at_origin).coeffs[0]
-    assert eq.apply(at_origin).is_zero() and ring.is_unit(d0)
+    assert eq.apply(at_origin).is_zero() and d0 in (ring.one, -ring.one)
     coeffs = [ring.coerce(s0)]
     for n in range(1, order):
         probe = ZSeries(tuple(coeffs) + (ring.zero,), n + 1, ring)
@@ -266,18 +265,16 @@ int_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_s
 class TestDivideAgainstFractions:
     @given(int_lists, int_lists, st.integers(min_value=0, max_value=2))
     @example(a=[1, 2, 3, 4], b=[-1, 1, 1], v=0)  # unit divisor -1
-    @example(a=[3, 6, 0, 9], b=[3, -3], v=1)  # integral quotient, but 3 is not a unit
+    @example(a=[3, 6, 0, 9], b=[3, -3], v=0)  # integral quotient, but 3 is not a unit
+    @example(a=[1, 2], b=[1, 1], v=1)  # a z power in front: b[0] = 0 is not a unit
     @example(a=[1, 1], b=[2, 1], v=0)  # inexact
     @settings(max_examples=200)
     def test_integral_quotient_agrees_else_raises(self, a, b, v):
-        if not any(b):
-            b = b[:-1] + [1]
         b = [0] * v + b
         a = [0] * v + a
         n = min(len(a), len(b))
         za, zb = ZSeries(a, n, QQ), ZSeries(b, n, QQ)
-        va, vb = za.valuation(), zb.valuation()
-        if vb is None or vb >= n or (va is not None and va < vb) or b[vb] not in (1, -1):
+        if b[0] not in (1, -1):
             with pytest.raises(DivisionByNonUnit):
                 divide(za, zb)
             return

@@ -70,9 +70,9 @@ class TestArithmetic:
 
 class TestDivision:
     def test_valuation_stripping(self):
-        a = poly(0, 0, 1, 0, 1)
-        b = poly(0, 0, 1)
-        assert divide(a, b).coeffs[:3] == (1, 0, 1)
+        # no z power is stripped: a divisor's constant term must be +1 or -1
+        with pytest.raises(DivisionByNonUnit, match="leading coefficient 0"):
+            divide(poly(0, 0, 1, 0, 1), poly(0, 0, 1))
 
     def test_geometric(self):
         out = divide(poly(1, order=4), poly(1, -1, order=4))
@@ -142,10 +142,19 @@ class TestSolver:
 
         kernel_root(40, GFMode.UNIVARIATE).integer_coefficients()
 
+    @pytest.mark.parametrize("schedule", ["doubling", "linear"])
+    def test_one_derivative_per_solve(self, monkeypatch, schedule):
+        want = avoidance_series(20)
+        built = []
+        derivative = AlgEquation.derivative
+        monkeypatch.setattr(AlgEquation, "derivative", lambda eq: built.append(eq) or derivative(eq))
+        assert solve_algebraic(avoidance_cubic(), 1, 20, schedule) == want
+        assert len(built) == 1
+
     def test_marker_degree_bound(self):
         rows = marker_series(20).integer_coefficients()
         for n, r in enumerate(rows):
-            assert r.degree <= n
+            assert len(r.coeffs) <= n + 1
 
 
 class TestEquationEvaluateT:
@@ -228,10 +237,14 @@ class TestIntegerRings:
             ZSeries([1, Fraction(1, 3)], 2, QQ)
 
     def test_units_are_plus_minus_one(self):
-        assert QQ.is_unit(1) and QQ.is_unit(-1)
-        assert not QQ.is_unit(2) and not QQ.is_unit(0)
-        assert QT.is_unit(TPoly(-1))
-        assert not QT.is_unit(TPoly([1, 1]))
+        non_units = {QQ: (0, 2), QT: (0, 2, TPoly([1, 1]))}
+        for ring, constants in non_units.items():
+            a = poly(3, -1, 4, order=3, ring=ring)
+            for unit in (1, -1):
+                assert divide(a, poly(unit, order=3, ring=ring)) == a * unit
+            for c in constants:
+                with pytest.raises(DivisionByNonUnit):
+                    divide(a, poly(c, order=3, ring=ring))
 
     def test_inverse_needs_unit_constant(self):
         with pytest.raises(DivisionByNonUnit):
