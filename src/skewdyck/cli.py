@@ -14,8 +14,9 @@ only here, to the finished marker polynomials.
 
 Each subcommand imports the modules it runs when it runs, so start-up
 loads only argparse, `rings` and `paths` (for the verify cap).
-`verify` may run its brute-force oracle check in a forked child on a
-second CPU (see `verify.run_all`); its output is the same either way.
+`verify` may run a share of its checks, the brute-force oracle among
+them, in a forked child on a second CPU (see `verify.run_all`); its
+output is the same either way.
 """
 
 from __future__ import annotations

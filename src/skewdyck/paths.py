@@ -135,12 +135,36 @@ def udr_profile(max_length: int):
 
     The walk tallies into flat lists, counts[m][level][j]: a word of
     length m ends at a level <= m and holds at most m // 3 disjoint
-    patterns, so every index is in range.
+    patterns, so every index is in range.  It is `_valid_words` with its
+    last step counted in place: a word one step short of max_length
+    tallies its valid one-step extensions, by the same three rules,
+    without building them.
     """
     _check_length(max_length)
     counts = [[[0] * (m // 3 + 1) for _ in range(m + 1)] for m in range(max_length + 1)]
-    for word, level, udr in _valid_words(max_length):
-        counts[len(word)][level][udr] += 1
+    leaves, inner = counts[-1], max_length - 1
+    stack = [("", 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, level, udr = pop()
+        m = len(word)
+        counts[m][level][udr] += 1
+        last = word[-1:]
+        if m < inner:
+            if level:
+                if last != "U":
+                    push((word + "R", level - 1, udr + word.endswith("UD")))
+                push((word + "D", level - 1, udr))
+            if last != "R":
+                push((word + "U", level + 1, udr))
+        elif m == inner:
+            if level:
+                below = leaves[level - 1]
+                if last != "U":
+                    below[udr + word.endswith("UD")] += 1
+                below[udr] += 1
+            if last != "R":
+                leaves[level + 1][udr] += 1
     return [
         {level: {j: c for j, c in enumerate(row) if c} for level, row in enumerate(rows) if any(row)}
         for rows in counts

@@ -242,7 +242,10 @@ class AlgEquation:
         return acc
 
     def derivative(self) -> "AlgEquation":
-        """Formal derivative with respect to S."""
+        """Formal derivative with respect to S, which must occur in the
+        equation: dP/dS = 0 has no nonzero leading coefficient."""
+        if not self.degree:
+            raise ValueError("S does not occur in the equation, so dP/dS is 0")
         polys = [
             tuple(c * i for c in p)
             for i, p in enumerate(self.coeff_polys)
@@ -281,8 +284,11 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
     value = eq.apply(s).coeffs[0]
     if value:
         raise NotARoot(f"P(0, {s0!r}) = {value!r} != 0")
-    deq = eq.derivative() if eq.degree else None  # None: S does not occur
-    slope = deq.apply(s).coeffs[0] if eq.degree else ring.zero
+    if eq.degree:
+        deq = eq.derivative()
+        slope = deq.apply(s).coeffs[0]
+    else:  # S does not occur, so dP/dS = 0
+        slope = ring.zero
     if slope not in (ring.one, -ring.one):
         raise SingularRoot(f"dP/dS(0, {s0!r}) = {slope!r} is not +1 or -1")
     while s.order < order:

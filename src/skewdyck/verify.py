@@ -22,10 +22,24 @@ Each check compares two sources and returns a pass/fail record; the CLI
 `run_all` takes one of two paths, with the same results in the same
 order.  When the process can fork, no other thread is alive and it can
 pin a child to a CPU other than its own, a child process on that CPU
-runs the brute-force oracle check while this process runs the other
-checks; the child sends its result back through a pipe.  Otherwise, or
-when the child delivers no result, every check runs here, one after
-another.
+runs a share of the checks while this process runs the rest; the child
+sends its results back through a pipe.  Otherwise, or when the child
+delivers no result, every check runs here, one after another.
+
+The share depends on the oracle depth alone (`child_checks`), so a job
+runs the same checks in the same process every time.  From SPLIT_DEPTH
+on the child runs only `dp-vs-oracle`, whose walk grows about 2x per
+order and alone outlasts the other eleven checks.  Below it the walk is
+short and the child also runs the four avoidance-route checks:
+`series-vs-golden`, `recurrence-vs-solver` and `ode-residual`, which
+share the avoidance cubic's order-201 root, and `asymptotics`.  SPLIT_DEPTH
+records where the two placements cross.
+
+The solver modules are imported by the checks that use them, so that
+they load after the fork: on the oracle-only path the child imports
+none of them and this process compiles them while the child walks.
+When the child runs the avoidance checks as well, `cubics` (with
+`series`) and `golden`, which both sides use, load once before the fork.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ import sys
 from collections import namedtuple
 from itertools import zip_longest
 
-from . import asymptotics, automaton, cubics, golden, holonomic, kernel, paths
+from . import automaton, paths
 from .rings import TPoly
 
 
@@ -80,6 +94,8 @@ def check_dp_vs_oracle(depth: int) -> CheckResult:
 
 
 def check_kernel_residual() -> CheckResult:
+    from . import kernel
+
     for mode in kernel.GFMode:
         utilde = kernel.kernel_root(64, mode)
         diff = _residual(kernel.kernel_equation(mode).apply(utilde), "z")
@@ -89,6 +105,8 @@ def check_kernel_residual() -> CheckResult:
 
 
 def check_kernel_root_display() -> CheckResult:
+    from . import golden, kernel
+
     want = golden.utilde_display()
     got = kernel.kernel_root(len(want), kernel.GFMode.UNIVARIATE).integer_coefficients()
     diff = _first_difference(got, want, "kernel", "golden")
@@ -96,6 +114,8 @@ def check_kernel_root_display() -> CheckResult:
 
 
 def check_series_vs_golden() -> CheckResult:
+    from . import cubics, golden
+
     want = golden.a128729_terms()
     got = cubics.avoidance_series(len(want)).integer_coefficients()
     diff = _first_difference(got, want, "solver", "golden")
@@ -103,6 +123,8 @@ def check_series_vs_golden() -> CheckResult:
 
 
 def check_bivariate_vs_golden() -> CheckResult:
+    from . import cubics, golden
+
     want = golden.a128728_rows()
     series = cubics.marker_series(len(want)).integer_coefficients()
     got = [list(c.coeffs) if c.coeffs else [0] for c in series]
@@ -111,6 +133,8 @@ def check_bivariate_vs_golden() -> CheckResult:
 
 
 def check_level_gfs() -> CheckResult:
+    from . import kernel
+
     levels = range(7)
     track = [kernel.level_gf(k, 17, kernel.GFMode.BIVARIATE) for k in levels]
     forbid = [kernel.level_gf(k, 17, kernel.GFMode.UNIVARIATE) for k in levels]
@@ -130,6 +154,8 @@ def check_level_gfs() -> CheckResult:
 
 
 def check_half_length_collapse() -> CheckResult:
+    from . import cubics, kernel
+
     solvers = ((kernel.GFMode.UNIVARIATE, cubics.avoidance_series), (kernel.GFMode.BIVARIATE, cubics.marker_series))
     for mode, solver in solvers:
         lvl0 = kernel.level_gf(0, 48, mode).compress_even()
@@ -140,12 +166,16 @@ def check_half_length_collapse() -> CheckResult:
 
 
 def check_transformed_cubic() -> CheckResult:
+    from . import cubics, kernel
+
     lvl0 = kernel.level_gf(0, 60, kernel.GFMode.UNIVARIATE).compress_even()
     diff = _residual(cubics.avoidance_cubic().apply(lvl0), "Z")
     return CheckResult("transformed-cubic", not diff, diff or "residual mod Z^30")
 
 
 def check_recurrence() -> CheckResult:
+    from . import cubics, holonomic
+
     seq = holonomic.extend(holonomic.INITIAL, 200)
     solver = cubics.avoidance_series(201).integer_coefficients()
     diff = _first_difference(seq, solver, "recurrence", "solver")
@@ -153,11 +183,15 @@ def check_recurrence() -> CheckResult:
 
 
 def check_ode() -> CheckResult:
+    from . import cubics, holonomic
+
     diff = _residual(holonomic.ode_residual(cubics.avoidance_series(30)), "z")
     return CheckResult("ode-residual", not diff, diff or "zero mod z^28")
 
 
 def check_boundary_identity() -> CheckResult:
+    from . import kernel
+
     for mode in kernel.GFMode:
         consts = kernel.boundary_constants(20, mode)
         constants = 1 + consts["g0"] + consts["h0"] + consts["k0"]
@@ -169,6 +203,8 @@ def check_boundary_identity() -> CheckResult:
 
 
 def check_asymptotics() -> CheckResult:
+    from . import asymptotics, holonomic
+
     z0 = asymptotics.Z0
     numeric = asymptotics.dominant_singularity_numeric()
     if abs(numeric - z0) > 1e-12:
@@ -199,8 +235,26 @@ CHECKS = [
 ]
 
 
+# The oracle depth from which the child runs the oracle alone.  Below it
+# the walk is short, and the child also runs the avoidance-route checks,
+# so that each side of a job takes about as long; from it on the walk
+# alone outlasts the parent's share.  Measured on a 2-core Xeon guest
+# (Python 3.11, paired medians of 41 interleaved rounds of fresh
+# `verify --order D` processes): the split saved 12 ms of a 130 ms job at
+# D = 15, was within 4 ms either way at 16, and cost 22 ms at 17.
+SPLIT_DEPTH = 17
+
+
+def child_checks(depth: int) -> list:
+    """The checks a forked child runs beside this process at oracle depth
+    `depth`, a choice that depends on nothing else (see SPLIT_DEPTH)."""
+    if depth >= SPLIT_DEPTH:
+        return [check_dp_vs_oracle]
+    return [check_dp_vs_oracle, check_series_vs_golden, check_recurrence, check_ode, check_asymptotics]
+
+
 def _can_fork() -> bool:
-    """Whether a child may run the oracle beside this process.  A fork
+    """Whether a child may run checks beside this process.  A fork
     copies only the calling thread, so no other may be alive; threads
     are started through `threading`, and a process that never imported
     it has none (importing it here would cost every job its start-up)."""
@@ -222,14 +276,18 @@ def _other_cpus() -> set[int]:
     return os.sched_getaffinity(0) - {cpu}
 
 
-def _fork_check(check, depth: int, cpus: set[int]) -> tuple[int, int] | None:
-    """Fork a child that runs check(depth) on `cpus` and writes its result
-    to a pipe as a marshalled (name, ok, detail) tuple; return (pid, read
-    end), or None when no process can be forked.
+def _run(checks, depth: int) -> list[CheckResult]:
+    return [fn(depth) if fn is check_dp_vs_oracle else fn() for fn in checks]
+
+
+def _fork_checks(checks, depth: int, cpus: set[int]) -> tuple[int, int] | None:
+    """Fork a child that runs `checks` on `cpus` and writes their results
+    to a pipe as a marshalled list of (name, ok, detail) tuples; return
+    (pid, read end), or None when no process can be forked.
 
     The child leaves only through os._exit, so it never flushes the
     stdout it shares with this process, runs atexit handlers or returns
-    into the caller.  It exits 0 only once the whole result is written.
+    into the caller.  It exits 0 only once every result is written.
     """
     read_end, write_end = os.pipe()
     try:
@@ -249,7 +307,7 @@ def _fork_check(check, depth: int, cpus: set[int]) -> tuple[int, int] | None:
         # would otherwise leave both on one, slower than no child at all.
         os.sched_setaffinity(0, cpus)
         with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(tuple(check(depth))))
+            pipe.write(marshal.dumps([tuple(r) for r in _run(checks, depth)]))
         status = 0
     finally:
         os._exit(status)
@@ -258,17 +316,24 @@ def _fork_check(check, depth: int, cpus: set[int]) -> tuple[int, int] | None:
 def run_all(oracle_depth: int) -> list[CheckResult]:
     """Every check in CHECKS order; see the module docstring for the two
     paths.  The child is always reaped, and killed first when a check
-    here raises.  When it delivers no result the oracle check runs here,
+    here raises.  When it delivers no result its whole share runs here,
     so that its exception, if any, reaches the caller."""
-    oracle = check_dp_vs_oracle
     cpus = _other_cpus() if _can_fork() else set()
-    child = _fork_check(oracle, oracle_depth, cpus) if cpus else None
+    if not cpus:
+        return _run(CHECKS, oracle_depth)
+    split = child_checks(oracle_depth)
+    theirs = [fn for fn in CHECKS if fn in split]
+    if len(theirs) > 1:
+        # Both sides solve the cubics and read the golden values: load
+        # them once, here, rather than compile them in each process.
+        from . import cubics, golden  # noqa: F401
+    child = _fork_checks(theirs, oracle_depth, cpus)
     if child is None:
-        return [fn(oracle_depth) if fn is oracle else fn() for fn in CHECKS]
+        return _run(CHECKS, oracle_depth)
     pid, read_end = child
     with open(read_end, "rb") as pipe:
         try:
-            results = [fn() for fn in CHECKS if fn is not oracle]
+            ours = _run([fn for fn in CHECKS if fn not in split], oracle_depth)
             data = pipe.read()
         except BaseException:
             import signal  # here, off the path every job takes
@@ -277,9 +342,6 @@ def run_all(oracle_depth: int) -> list[CheckResult]:
             raise
         finally:
             _, status = os.waitpid(pid, 0)
-    if status == 0:
-        result = CheckResult(*marshal.loads(data))
-    else:
-        result = oracle(oracle_depth)
-    results.insert(CHECKS.index(oracle), result)
-    return results
+    got = [CheckResult(*r) for r in marshal.loads(data)] if status == 0 else _run(theirs, oracle_depth)
+    got, ours = iter(got), iter(ours)
+    return [next(got) if fn in split else next(ours) for fn in CHECKS]

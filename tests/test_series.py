@@ -132,8 +132,12 @@ class TestSolver:
         eq = AlgEquation([[1, 1], [-2], [1]], QQ)  # (S-1)^2 + z: double root
         with pytest.raises(SingularRoot):
             solve_algebraic(eq, 1, 4)
-        with pytest.raises(SingularRoot):
+        with pytest.raises(SingularRoot, match=r"dP/dS\(0, 0\) = 0 is not \+1 or -1"):
             solve_algebraic(AlgEquation([[0, 1]], QQ), 0, 4)  # z = 0: S does not occur
+
+    def test_derivative_without_s_says_so(self):
+        with pytest.raises(ValueError, match="S does not occur in the equation"):
+            AlgEquation([[0, 1]], QQ).derivative()
 
     def test_integrality_of_all_three_cubics(self):
         avoidance_series(40).integer_coefficients()

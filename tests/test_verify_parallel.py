@@ -1,6 +1,8 @@
-"""verify.run_all's two paths: the brute-force oracle check in a forked
-child beside the other checks, and every check in this process."""
+"""verify.run_all's two paths: the brute-force oracle check, and below
+verify.SPLIT_DEPTH the avoidance-route checks, in a forked child beside
+the other checks; and every check in this process."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -166,6 +168,35 @@ def test_child_flushes_nothing_and_runs_no_exit_handler():
     assert proc.stdout == "buffered\n12\nexit\n"
 
 
+@pytest.mark.parametrize("below", [True, False], ids=["below-split", "at-split"])
+def test_no_module_loads_in_both_processes(below):
+    """Each side reports the package modules it loaded after the fork."""
+    code = (
+        "import os, sys\n"
+        "from skewdyck import verify\n"
+        "verify._other_cpus = lambda: os.sched_getaffinity(0)\n"
+        "fork, run, before = os.fork, verify._run, set()\n"
+        "def noting():\n"
+        "    before.update(sys.modules)\n"
+        "    return fork()\n"
+        "def reporting(checks, depth):\n"
+        "    results = run(checks, depth)\n"
+        "    new = sorted(m for m in set(sys.modules) - before if m.startswith('skewdyck'))\n"
+        "    os.write(1, repr(new).encode() + b'\\n')\n"
+        "    return results\n"
+        "os.fork, verify._run = noting, reporting\n"
+        f"verify.run_all(verify.SPLIT_DEPTH - {int(below)})\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first, second = (set(ast.literal_eval(line)) for line in proc.stdout.splitlines())
+    assert not first & second
+    assert "skewdyck.kernel" in first | second
+    if not below:  # the child runs only the oracle, whose modules loaded before the fork
+        assert not first or not second
+
+
 def _dict_tally(max_length):
     """udr_profile's tally before it counted into flat lists."""
     hist = [dict() for _ in range(max_length + 1)]
@@ -175,6 +206,105 @@ def _dict_tally(max_length):
     return hist
 
 
-@pytest.mark.parametrize("max_length", range(15))
+@pytest.mark.parametrize("max_length", range(17))
 def test_flat_tally_equals_dict_tally(max_length):
     assert udr_profile(max_length) == _dict_tally(max_length)
+
+
+def test_leaf_tally_at_the_shortest_lengths():
+    # Length 2 has UU and UD; UR is a forbidden factor and D, R dip below the axis.
+    assert udr_profile(0) == [{0: {0: 1}}]
+    assert udr_profile(1) == [{0: {0: 1}}, {1: {0: 1}}]
+    assert udr_profile(2) == [{0: {0: 1}}, {1: {0: 1}}, {2: {0: 1}, 0: {0: 1}}]
+
+
+AVOIDANCE_SHARE = [
+    verify.check_dp_vs_oracle,
+    verify.check_series_vs_golden,
+    verify.check_recurrence,
+    verify.check_ode,
+    verify.check_asymptotics,
+]
+
+
+def test_split_depends_on_the_depth_alone():
+    splits = [verify.child_checks(d) for d in range(paths.ORACLE_CAP + 1)]
+    verify.run_all(verify.SPLIT_DEPTH - 1)
+    assert [verify.child_checks(d) for d in range(paths.ORACLE_CAP + 1)] == splits
+    for depth, split in enumerate(splits):
+        want = AVOIDANCE_SHARE if depth < verify.SPLIT_DEPTH else AVOIDANCE_SHARE[:1]
+        assert split == want, depth
+
+
+@pytest.fixture
+def shares(monkeypatch):
+    """Record the checks each forked child is given."""
+    given = []
+    fork_checks = verify._fork_checks
+
+    def recording(checks, depth, cpus):
+        given.append(list(checks))
+        return fork_checks(checks, depth, cpus)
+
+    monkeypatch.setattr(verify, "_fork_checks", recording)
+    return given
+
+
+@pytest.mark.parametrize("depth", [5, 6, 7])
+def test_paths_agree_on_both_sides_of_the_split(depth, shares, monkeypatch):
+    monkeypatch.setattr(verify, "SPLIT_DEPTH", 6)
+    monkeypatch.setattr(verify, "_other_cpus", _own_cpus)
+    forked = verify.run_all(depth)
+    monkeypatch.setattr(verify, "_other_cpus", set)
+    assert verify.run_all(depth) == forked
+    assert all(r.ok for r in forked) and len(forked) == len(verify.CHECKS)
+    assert shares == [AVOIDANCE_SHARE if depth < 6 else AVOIDANCE_SHARE[:1]]
+    _no_child_left()
+
+
+def _parent_calls(monkeypatch, module, name, in_child):
+    """Replace module.name by a wrapper that calls in_child() in a forked
+    child and counts this process's calls."""
+    parent, real, calls = os.getpid(), getattr(module, name), []
+
+    def wrapper(*args):
+        if os.getpid() != parent:
+            in_child()
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _raise_key_error():
+    raise KeyError("child")
+
+
+@pytest.mark.parametrize("in_child", [lambda: os._exit(3), _raise_key_error], ids=["dies", "raises"])
+def test_child_failing_a_non_oracle_check_leaves_its_share_here(in_child, forks, pinnable, monkeypatch):
+    from skewdyck import holonomic
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_other_cpus", set)
+        serial = verify.run_all(8)
+    walks = _parent_calls(monkeypatch, paths, "udr_profile", lambda: None)
+    extends = _parent_calls(monkeypatch, holonomic, "extend", in_child)
+    assert verify.run_all(8) == serial
+    assert forks == [1]
+    # The oracle ran here too, and so did both avoidance checks that extend the recurrence.
+    assert walks == [1] and extends == [1, 1]
+    _no_child_left()
+
+
+def test_exception_in_a_non_oracle_check_reaches_the_caller(forks, pinnable, monkeypatch):
+    from skewdyck import holonomic
+
+    def broken(initial, n):
+        raise KeyError("recurrence")
+
+    monkeypatch.setattr(holonomic, "extend", broken)
+    with pytest.raises(KeyError, match="recurrence"):
+        verify.run_all(8)
+    assert forks == [1]
+    _no_child_left()
