@@ -12,3 +12,8 @@ none of them, so the CLI loads only the modules a subcommand runs.
 """
 
 __version__ = "0.1.0"
+
+# The deepest brute-force walk (`verify --order`).  It lives here so that
+# the CLI can bound the flag without loading `skewdyck.paths`, which
+# re-exports it.
+ORACLE_CAP = 24

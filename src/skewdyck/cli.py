@@ -13,19 +13,28 @@ The engine computes over Z and Z[t]; a rational --t-eval is applied
 only here, to the finished marker polynomials.
 
 Each subcommand imports the modules it runs when it runs, so start-up
-loads only argparse, `rings` and `paths` (for the verify cap).
-`verify` may run a share of its checks, the brute-force oracle among
-them, in a forked child on a second CPU (see `verify.run_all`); its
-output is the same either way.
+loads only argparse and this module; the verify cap comes from the
+package root.  `verify` may run a share of its checks, the brute-force
+oracle among them, in a forked child on a second CPU (see
+`verify.run_all`); its output is the same either way.
+
+`main` flushes the output and then ends the process with `os._exit`,
+skipping the interpreter's teardown (module cleanup, the shutdown
+garbage collections, freeing every object); `atexit` handlers therefore
+do not run.  It exits the normal way when an exception or `SystemExit`
+leaves `run` (argparse errors, `--help`) and when a tracer, profiler or
+monitoring tool is attached, so that the tool can write its results.
+`run` only returns the exit code (or raises argparse's `SystemExit`),
+so that callers in the same process go on.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import paths
-from .rings import TPoly
+from . import ORACLE_CAP
 
 DEFAULT_ORDER = 16
 ASYMPT_CAP = 20000  # largest --n; s_20000 has 13 245 digits
@@ -85,11 +94,15 @@ def _parse_t_eval(value: str):
 
 
 def _coeff_str(c) -> str:
+    if isinstance(c, int):
+        return str(c)
+    from .rings import TPoly  # loaded already by the route that built c
+
     if isinstance(c, TPoly):
         if not c.coeffs:
             return "[0]"
         return "[" + " ".join(str(x) for x in c.coeffs) + "]"
-    return str(c)
+    return str(c)  # a Fraction, from a rational --t-eval
 
 
 def _emit(args, payload, rows, text_line) -> None:
@@ -110,7 +123,8 @@ def _emit_sequence(args, coeffs, variable: str, t_mode: str) -> None:
     _emit(args, {"sequence": cells, "variable": variable, "t_mode": t_mode}, [cells], " ".join)
 
 
-def _eval_tpoly(poly: TPoly, t_eval):
+def _eval_tpoly(poly, t_eval):
+    """The marker polynomial `poly`, or its value at the --t-eval point."""
     if t_eval == "track":
         return poly
     return poly(T_NAMED.get(t_eval, t_eval))
@@ -218,6 +232,8 @@ def _emit_asympt(args, rows) -> None:
 
 
 def cmd_render(args) -> int:
+    from . import paths
+
     try:
         path = paths.SkewPath(paths.parse_word(args.word))
     except ValueError as exc:
@@ -284,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_levels)
 
     p = sub.add_parser("verify", help="run the full cross-check suite")
-    add_order(p, paths.ORACLE_CAP, "brute-force oracle depth")
+    add_order(p, ORACLE_CAP, "brute-force oracle depth")
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -312,19 +328,30 @@ def run(argv) -> int:
     return args.fn(args)
 
 
+def _observed() -> bool:
+    """Whether a tracer, profiler or monitoring tool (coverage, cProfile,
+    a debugger) is attached and must see the normal exit to report."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: cProfile registers here, not with setprofile
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))  # ids 0-5
+
+
 def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
         # The reader closed the pipe early, as `| head` does; that is no
         # error.  Point stdout at devnull so that the flush at exit cannot
         # raise again (the recipe in the Python docs for SIGPIPE).
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
-    sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    # Everything is written: skip the interpreter's teardown.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .rings import QQ
-
 
 class NonIntegralStep(Exception):
     """Exact division in the recurrence left a remainder."""
@@ -83,7 +81,8 @@ def ode_residual(s):
     rather than transcribed, and the residual is known modulo
     z^(order - 2) because of the two formal derivatives.
     """
-    from .series import ZSeries  # imported here: asympt never builds a series
+    from .rings import QQ  # imported here: asympt builds no series and needs no ring
+    from .series import ZSeries
 
     if s.order < 5:
         raise ValueError("series order must be at least 5")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-ORACLE_CAP = 24
+from . import ORACLE_CAP
 
 
 class CapExceeded(Exception):

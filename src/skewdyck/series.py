@@ -266,9 +266,12 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
     """Unique series root with constant term s0, by Newton iteration.
 
     The root must be simple at the origin, with dP/dS(0, s0) = +1 or -1.
-    schedule="doubling" doubles the working order each step;
-    schedule="linear" raises it by one, and both must produce identical
-    coefficients.
+    schedule="doubling" at most doubles the working order each step,
+    stepping up through the target N halved and rounded up again and
+    again (..., ceil(N/4), ceil(N/2), N): no step works past N, where
+    1, 2, 4, ... would pay two near-full-order steps for N just above a
+    power of two.  schedule="linear" raises the order by one.  Both must
+    produce identical coefficients.
 
     A step from order k to order T pads s with zeros to order T.  The
     residual P(s) then vanishes below z^k, so the correction
@@ -291,9 +294,16 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
         slope = ring.zero
     if slope not in (ring.one, -ring.one):
         raise SingularRoot(f"dP/dS(0, {s0!r}) = {slope!r} is not +1 or -1")
-    while s.order < order:
+    if schedule == "linear":
+        targets = range(2, order + 1)
+    else:
+        targets = []
+        while order > 1:
+            targets.append(order)
+            order = (order + 1) // 2
+        targets.reverse()
+    for target in targets:
         k = s.order
-        target = min(2 * k, order) if schedule == "doubling" else k + 1
         h = target - k
         s = ZSeries._raw(s.coeffs + (ring.zero,) * h, target, ring)
         top = ZSeries._raw(eq.apply(s).coeffs[k:], h, ring)

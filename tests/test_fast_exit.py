@@ -1,0 +1,102 @@
+"""`cli.main` ends the process with `os._exit` once its output is flushed.
+
+Every test here runs the CLI in a fresh interpreter, because the fast
+exit ends the process that calls `main`.  Each checks that nothing is
+lost on that path: output through a pipe or into a file, exit codes 1
+and 2, and the results of a profiler, which needs the normal exit.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from skewdyck import cli, paths
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Buffered output, as a pipe or file gets by default: whatever main left
+# unflushed would be lost.
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(SRC)}
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True, text=True, timeout=120)
+
+
+def _skewdyck(*argv):
+    return _python("-m", "skewdyck", *argv)
+
+
+def _main_after(setup, *argv):
+    """Run `setup`, then `cli.main()` with `argv`, in a fresh interpreter."""
+    code = f"import sys\nfrom skewdyck import cli\n{setup}\nsys.argv = ['skewdyck', *{list(argv)!r}]\ncli.main()"
+    return _python("-c", code)
+
+
+def test_large_output_arrives_whole_through_a_pipe(capsys):
+    argv = ["bivariate", "--order", "120", "--format", "json"]
+    assert cli.run(argv) == 0
+    want = capsys.readouterr().out
+    proc = _skewdyck(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(want) > 100_000  # several pipe buffers
+    assert proc.stdout == want
+
+
+def test_failed_verification_still_exits_1():
+    # An unmarked G -> K edge makes both automaton checks fail.
+    proc = _main_after(
+        "from skewdyck import automaton\nfrom skewdyck.rings import TPoly\nautomaton.T = TPoly(1)",
+        "verify", "--order", "8",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "2 check(s) failed\n"
+    assert proc.stdout.count("FAIL ") == 2 and proc.stdout.count("PASS ") == 10
+
+
+def test_odd_half_length_level_exits_2():
+    proc = _skewdyck("levels", "3", "--half-length")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "--half-length requires an even level\n")
+
+
+def test_bad_flag_exits_2():
+    proc = _skewdyck("series", "--frobnicate")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --frobnicate" in proc.stderr
+
+
+def test_render_writes_the_whole_file(tmp_path):
+    word = "UUUDRD" * 1500
+    out = tmp_path / "path.svg"
+    proc = _skewdyck("render", word, "-o", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == paths.render_svg(paths.SkewPath(word), 24)
+
+
+def test_profiler_still_writes_its_stats():
+    proc = _python("-m", "cProfile", "-m", "skewdyck", "count", "0", "0")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("[1]\n")
+    assert "function calls" in proc.stdout
+
+
+def test_fast_path_skips_atexit_handlers():
+    proc = _main_after("import atexit\natexit.register(print, 'atexit ran')", "count", "0", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1]\n", "")
+
+
+def test_traced_process_exits_normally():
+    # With a trace function set, main exits the normal way, so the
+    # tracer (coverage, say) still gets to write its results at exit.
+    proc = _main_after(
+        "import atexit\natexit.register(print, 'atexit ran')\nsys.settrace(lambda *a: None)", "count", "0", "0"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1]\natexit ran\n", "")
+
+
+def test_run_returns_in_process():
+    proc = _python(
+        "-c", "from skewdyck import cli\ncode = cli.run(['count', '0', '0'])\nprint('returned', code)"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1]\nreturned 0\n", "")

@@ -155,6 +155,27 @@ class TestSolver:
         assert solve_algebraic(avoidance_cubic(), 1, 20, schedule) == want
         assert len(built) == 1
 
+    @pytest.mark.parametrize(
+        "order, steps",
+        [
+            (272, [2, 3, 5, 9, 17, 34, 68, 136, 272]),
+            (256, [2, 4, 8, 16, 32, 64, 128, 256]),
+            (5, [2, 3, 5]),
+            (1, []),
+        ],
+    )
+    def test_doubling_steps_up_through_the_halved_target(self, monkeypatch, order, steps):
+        # No step works past the target, and there are still
+        # ceil(log2(order)) of them.
+        want = avoidance_series(order)
+        eq = avoidance_cubic()
+        orders = []
+        apply = AlgEquation.apply
+        monkeypatch.setattr(AlgEquation, "apply", lambda e, s: (e is eq and orders.append(s.order)) or apply(e, s))
+        assert solve_algebraic(eq, 1, order) == want
+        assert orders == [1, *steps]  # the seed's check, then one residual per step
+        assert len(steps) == (order - 1).bit_length()
+
     def test_marker_degree_bound(self):
         rows = marker_series(20).integer_coefficients()
         for n, r in enumerate(rows):

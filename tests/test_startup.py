@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import skewdyck
+from skewdyck import paths
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -69,6 +70,27 @@ def test_cli_import_loads_no_compute_module():
     assert not (loaded - bare) & HEAVY
 
 
+def test_cli_import_loads_neither_paths_nor_rings():
+    _, loaded = _modules_after("import skewdyck.cli")
+    assert not loaded & {"skewdyck.paths", "skewdyck.rings"}
+
+
+def test_verify_cap_is_the_oracles():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "skewdyck", "verify", "--order", "25"],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        "skewdyck verify: error: argument --order: 25 is out of range: must be between 1 and 24\n"
+    )
+    assert paths.ORACLE_CAP is skewdyck.ORACLE_CAP
+
+
 def test_package_import_loads_no_submodule():
     _, loaded = _modules_after("import skewdyck")
     assert not [m for m in loaded if m.startswith("skewdyck.")]
@@ -91,6 +113,12 @@ def test_asympt_loads_no_series_or_cubic():
     proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
     assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
     assert not loaded & {"skewdyck.series", "skewdyck.cubics"}
+
+
+def test_asympt_loads_no_ring():
+    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
+    assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
+    assert "skewdyck.rings" not in loaded
 
 
 def test_verify_loads_no_dataclasses_or_resource_reader():
