@@ -4,10 +4,11 @@ Subcommands: count, series, bivariate, levels, verify, asympt, render.
 Output is byte-stable for fixed flags; JSON payloads follow the schema
 {"sequence": [...decimal strings...], "variable": "z"|"z(half)",
 "t_mode": <track|zero|one|rational>}.  Exit codes: 0 success, 1 failed
-verification, 2 flag errors (argparse rejects every out-of-range size,
-and every size has an upper cap below).  A reader that closes the pipe
-early, as `skewdyck bivariate --order 200 | head -1` does, ends the
-command quietly with exit 0 and no traceback.
+verification, 2 flag errors (every size has an upper cap below) and
+output that cannot be written (stdout closed, a full disk, a bad
+`render -o` path), with one stderr line.  A reader that closes the pipe
+early, as `skewdyck bivariate --order 200 | head -1` does, is no error:
+the command ends quietly with exit 0.
 
 The engine computes over Z and Z[t]; a rational --t-eval is applied
 only here, to the finished marker polynomials.
@@ -21,16 +22,19 @@ oracle among them, in a forked child on a second CPU (see
 `main` flushes the output and then ends the process with `os._exit`,
 skipping the interpreter's teardown (module cleanup, the shutdown
 garbage collections, freeing every object); `atexit` handlers therefore
-do not run.  It exits the normal way when an exception or `SystemExit`
-leaves `run` (argparse errors, `--help`) and when a tracer, profiler or
-monitoring tool is attached, so that the tool can write its results.
-`run` only returns the exit code (or raises argparse's `SystemExit`),
-so that callers in the same process go on.
+do not run.  It exits the normal way when `SystemExit` (argparse errors,
+`--help`) or an exception other than a failed write leaves `run`, and
+when a tracer, profiler or monitoring tool is attached, so that the
+tool can write its results.  `run` only returns the exit code (or
+raises argparse's `SystemExit`), so that callers in the same process go
+on.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 
@@ -339,15 +343,20 @@ def _observed() -> bool:
 
 def main() -> None:
     try:
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = run(sys.argv[1:])
         sys.stdout.flush()
         sys.stderr.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early, as `| head` does; that is no
-        # error.  Point stdout at devnull so that the flush at exit cannot
-        # raise again (the recipe in the Python docs for SIGPIPE).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
+    except OSError as exc:
+        # A reader that closed the pipe early, as `| head` does, is no error;
+        # any other failed write is.  Point fd 1 at devnull so that no later
+        # flush can raise again (the recipe in the Python docs for SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = 0 if isinstance(exc, BrokenPipeError) else 2
+        if code and sys.stderr is not None:
+            with contextlib.suppress(OSError):  # stderr may be unwritable too
+                print(f"cannot write output: {exc.strerror or exc}", file=sys.stderr, flush=True)
     if _observed():
         sys.exit(code)
     # Everything is written: skip the interpreter's teardown.

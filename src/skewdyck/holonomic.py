@@ -1,16 +1,24 @@
-"""Holonomic descriptions of the half-length avoidance sequence.
+"""Holonomic description of the half-length avoidance sequence.
 
-The sequence s_n (paths of half-length n avoiding the pattern; OEIS
-A128729) satisfies a 4th-order linear recurrence with polynomial
-coefficients, and its generating function S(z) a 2nd-order linear ODE.
-Neither is derived here; both are applied and verified exactly, so any
-transcription error or wrong initial segment surfaces as a failed exact
-division or a nonzero residual rather than drift.
+S(z), the generating function of s_n (OEIS A128729), satisfies the ODE
+A0 + A1 S + B1 S' + B2 S'' = 0.  Its four polynomials, `ODE`, are the one
+transcription here, checked against the avoidance cubic's root rather
+than derived from it; the rest is read off them.  A term c z^i S^(k)
+puts c (m)_k s_m, a falling factorial, into the z^n row, m = n - i + k.
+Each row n >= 3 relates s_{n-3}..s_{n+1}: a 4th-order recurrence that
+`extend` applies by exact division, so a wrong initial term or ODE
+coefficient fails a division.  `ode_residual` evaluates the same rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+# A0 = 31z - 8, A1 = -15z, B1 = -(2z - 1)(44z^3 + 15z^2 - 48z + 8) and
+# B2 = -z(11z^2 + 16z - 4)(2z - 1)^2, as coefficients of z^0, z^1, ...
+ODE = ((-8, 31), (0, -15), (8, -64, 111, 14, -88), (0, 4, -32, 69, -20, -44))
+RECURRENCE_ORDER = 4
+INITIAL = (1, 1, 2, 6)  # s_0..s_3, the first terms of OEIS A128729
 
 
 class NonIntegralStep(Exception):
@@ -22,45 +30,46 @@ class NonIntegralStep(Exception):
         self.remainder = remainder
 
 
-def p0(n: int) -> int:
-    return -44 * n * (n + 1)
+def _row(n: int) -> dict[int, int]:
+    """{m: coefficient of s_m} in the z^n row of A1 S + B1 S' + B2 S''."""
+    row: dict[int, int] = {}
+    for k, poly in enumerate(ODE[1:]):
+        for i, c in enumerate(poly):
+            m = n - i + k
+            for r in range(k):
+                c *= m - r
+            row[m] = row.get(m, 0) + c
+    return row
 
 
-def p1(n: int) -> int:
-    return -2 * (n + 1) * (10 * n - 7)
-
-
-def p2(n: int) -> int:
-    return 3 * (115 + 106 * n + 23 * n * n)
-
-
-def p3(n: int) -> int:
-    return -32 * (n + 4) * (n + 3)
-
-
-def p4(n: int) -> int:
-    return 4 * (n + 5) * (n + 4)
-
-
-RECURRENCE_ORDER = 4
-INITIAL = (1, 1, 2, 6)  # s_0..s_3, the first terms of OEIS A128729
+def step_polynomials() -> list[tuple[int, int, int]]:
+    """(a, b, c) with p_j(n) = a + b n + c n^2 the coefficient of s_{n+j} in
+    row n + 3, j = 0..4: the quadratic through its values at n = 0, 1, 2."""
+    rows = [_row(n + 3) for n in range(3)]
+    if any(c for n, row in enumerate(rows) for m, c in row.items() if not n <= m <= n + RECURRENCE_ORDER):
+        raise ValueError("the ODE's rows are not a recurrence of order 4")  # B2 must vanish at z = 0
+    ps = []
+    for j in range(RECURRENCE_ORDER + 1):
+        v0, v1, v2 = (rows[n].get(n + j, 0) for n in range(3))
+        c = (v2 - 2 * v1 + v0) // 2
+        ps.append((v0, v1 - v0 - c, c))
+    return ps
 
 
 def extend(initial: Sequence[int], n_max: int) -> list[int]:
-    """Terms s_0..s_{n_max} from four initial terms.
-
-    Each step divides exactly by p4(n) > 0; a nonzero remainder raises
-    NonIntegralStep, which is how wrong initial terms announce
-    themselves.
-    """
+    """Terms s_0..s_{n_max} from four initial terms.  Each step divides
+    exactly by p_4(n) = 4 (n + 4)(n + 5) > 0; a nonzero remainder raises
+    NonIntegralStep, which is how wrong initial terms announce themselves."""
     if len(initial) != RECURRENCE_ORDER:
         raise ValueError("exactly four initial terms required")
     if n_max < RECURRENCE_ORDER - 1:
         raise ValueError("n_max must be at least 3")
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = step_polynomials()
     s = [int(x) for x in initial]
     for n in range(n_max - RECURRENCE_ORDER + 1):
-        num = -(p0(n) * s[n] + p1(n) * s[n + 1] + p2(n) * s[n + 2] + p3(n) * s[n + 3])
-        q, r = divmod(num, p4(n))
+        num = (a0 + (b0 + c0 * n) * n) * s[n] + (a1 + (b1 + c1 * n) * n) * s[n + 1]
+        num += (a2 + (b2 + c2 * n) * n) * s[n + 2] + (a3 + (b3 + c3 * n) * n) * s[n + 3]
+        q, r = divmod(-num, a4 + (b4 + c4 * n) * n)
         if r != 0:
             raise NonIntegralStep(n, r)
         s.append(q)
@@ -68,30 +77,12 @@ def extend(initial: Sequence[int], n_max: int) -> list[int]:
 
 
 def ode_residual(s):
-    """Apply the 2nd-order operator to a ZSeries and return the residual.
-
-    The operator is  a0 + a1 S + b1 S' + b2 S''  with
-
-        a0 = 31 z - 8
-        a1 = -15 z
-        b1 = -(2z - 1)(44 z^3 + 15 z^2 - 48 z + 8)
-        b2 = -z (11 z^2 + 16 z - 4)(2z - 1)^2
-
-    The factored coefficients are expanded by series multiplication
-    rather than transcribed, and the residual is known modulo
-    z^(order - 2) because of the two formal derivatives.
-    """
-    from .rings import QQ  # imported here: asympt builds no series and needs no ring
-    from .series import ZSeries
+    """A0 + A1 S + B1 S' + B2 S'' for a ZSeries S, known mod z^(order - 2)."""
+    from .series import ZSeries  # imported here: asympt builds no series
 
     if s.order < 5:
         raise ValueError("series order must be at least 5")
-    n = s.order
-    two_z_minus_1 = ZSeries([-1, 2], n, QQ)
-    a0 = ZSeries([-8, 31], n, QQ)
-    a1 = ZSeries([0, -15], n, QQ)
-    b1 = -(two_z_minus_1 * ZSeries([8, -48, 15, 44], n, QQ))
-    b2 = -(ZSeries([0, -4, 16, 11], n, QQ) * two_z_minus_1 * two_z_minus_1)
-    ds = s.differentiate()
-    dds = ds.differentiate()
-    return a0 + a1 * s + b1 * ds + b2 * dds
+    rows = [sum(c * s.coeffs[m] for m, c in _row(n).items() if m >= 0) for n in range(s.order - 2)]
+    for n, c in enumerate(ODE[0]):
+        rows[n] += c
+    return ZSeries(rows, s.order - 2, s.ring)

@@ -155,13 +155,6 @@ class ZSeries:
         zero = self.ring.zero
         return ZSeries._raw((zero,) * k + self.coeffs, self.order + k, self.ring)
 
-    def differentiate(self) -> "ZSeries":
-        """Formal d/dz; truncation order drops by one."""
-        if self.order < 2:
-            raise ValueError("cannot differentiate below order 2")
-        out = tuple(self.coeffs[i] * i for i in range(1, self.order))
-        return ZSeries._raw(out, self.order - 1, self.ring)
-
     def compress_even(self) -> "ZSeries":
         """Substitute z^2 -> z; every odd coefficient must vanish."""
         for i in range(1, self.order, 2):

@@ -12,8 +12,8 @@ Each check compares two sources and returns a pass/fail record; the CLI
     level-gf-vs-dp        kernel level series vs automaton, both modes
     half-length-collapse  kernel level 0 at z^2 -> Z vs both cubics' roots
     transformed-cubic     kernel level 0 at z^2 -> Z vs the avoidance cubic
-    recurrence-vs-solver  holonomic recurrence vs avoidance cubic's root
-    ode-residual          transcribed ODE vs avoidance cubic's root
+    recurrence-vs-solver  ODE's rows as a recurrence vs avoidance cubic's root
+    ode-residual          ODE's rows on the avoidance cubic's root (same pair)
     boundary-identity     boundary constants vs level 0: one kernel root,
                           two formulas
     asymptotics           closed-form z0 vs bisection on the avoidance

@@ -3,13 +3,17 @@
 Every test here runs the CLI in a fresh interpreter, because the fast
 exit ends the process that calls `main`.  Each checks that nothing is
 lost on that path: output through a pipe or into a file, exit codes 1
-and 2, and the results of a profiler, which needs the normal exit.
+and 2, the results of a profiler, which needs the normal exit, and the
+exit code 2 and one stderr line when stdout is closed or full.
 """
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from skewdyck import cli, paths
 
@@ -100,3 +104,51 @@ def test_run_returns_in_process():
         "-c", "from skewdyck import cli\ncode = cli.run(['count', '0', '0'])\nprint('returned', code)"
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1]\nreturned 0\n", "")
+
+
+# One cheap job per subcommand, and the shell redirections that leave no
+# usable stdout: closed, or a device that is always full.
+SUBCOMMANDS = [
+    ["count", "0", "0"],
+    ["series", "--order", "5"],
+    ["bivariate", "--order", "3"],
+    ["levels", "0", "--order", "3"],
+    ["verify", "--order", "6"],
+    ["asympt", "--n", "5"],
+    ["render", "UD"],
+]
+UNWRITABLE = [
+    pytest.param(">&-", id="closed"),
+    pytest.param(
+        ">/dev/full",
+        id="full",
+        marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+    ),
+]
+
+
+def _shell(argv, redirect):
+    command = " ".join(map(shlex.quote, [sys.executable, *argv]))
+    return subprocess.run(
+        f"{command} {redirect}", shell=True, env=ENV, capture_output=True, text=True, timeout=120
+    )
+
+
+def _assert_unwritable(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot write output: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("redirect", UNWRITABLE)
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_unwritable_stdout_exits_2_with_one_line(argv, redirect):
+    _assert_unwritable(_shell(["-m", "skewdyck", *argv], redirect))
+
+
+@pytest.mark.parametrize("redirect", UNWRITABLE)
+def test_unwritable_stdout_exits_2_when_traced(redirect):
+    # The normal exit flushes stdout again at teardown; fd 1 is devnull by then.
+    code = "import sys\nsys.settrace(lambda *a: None)\nfrom skewdyck import cli\nsys.argv = ['skewdyck', 'count', '0', '0']\ncli.main()"
+    _assert_unwritable(_shell(["-c", code], redirect))

@@ -1,11 +1,34 @@
 import pytest
 
+from skewdyck import holonomic
 from skewdyck.cubics import avoidance_series
-from skewdyck.holonomic import NonIntegralStep, extend, ode_residual, p0, p1, p2, p3, p4
+from skewdyck.holonomic import NonIntegralStep, extend, ode_residual
 from skewdyck.rings import QQ
 from skewdyck.series import ZSeries
 
 INITIAL = [1, 1, 2, 6]
+
+
+# The 4th-order recurrence written out by hand, independently of the ODE
+# that holonomic reads it from.
+def p0(n: int) -> int:
+    return -44 * n * (n + 1)
+
+
+def p1(n: int) -> int:
+    return -2 * (n + 1) * (10 * n - 7)
+
+
+def p2(n: int) -> int:
+    return 3 * (115 + 106 * n + 23 * n * n)
+
+
+def p3(n: int) -> int:
+    return -32 * (n + 4) * (n + 3)
+
+
+def p4(n: int) -> int:
+    return 4 * (n + 5) * (n + 4)
 
 
 def recurrence_residual(seq):
@@ -61,6 +84,43 @@ class TestRecurrenceResidual:
         # no shifted validity range: the recurrence holds from n = 0 on
         seq = extend(INITIAL, 60)
         assert recurrence_residual(seq) == [0] * 57
+
+
+class TestReadOffTheOde:
+    def test_step_polynomials_are_the_written_recurrence(self):
+        derived = holonomic.step_polynomials()
+        for p, (a, b, c) in zip((p0, p1, p2, p3, p4), derived, strict=True):
+            assert [a + b * n + c * n * n for n in range(50)] == [p(n) for n in range(50)]
+
+    @staticmethod
+    def _changed(monkeypatch, which, i):
+        ode = [list(poly) for poly in holonomic.ODE]
+        ode[which][i] += 1
+        monkeypatch.setattr(holonomic, "ODE", tuple(map(tuple, ode)))
+
+    @pytest.mark.parametrize(
+        "which, i", [(1, 0), (1, 1), *((2, i) for i in range(5)), *((3, i) for i in range(1, 6))]
+    )
+    def test_one_changed_coefficient_breaks_both(self, monkeypatch, which, i):
+        # Both the recurrence and the residual read the ODE itself, so a
+        # change to any one coefficient of A1, B1 or B2 shows in each.
+        self._changed(monkeypatch, which, i)
+        with pytest.raises(NonIntegralStep) as info:
+            extend(INITIAL, 20)
+        assert info.value.n <= 16
+        assert not ode_residual(avoidance_series(30)).is_zero()
+
+    def test_b2_at_zero_would_raise_the_order(self, monkeypatch):
+        # A constant term in B2 puts s_{n+5} into row n + 3.
+        self._changed(monkeypatch, 3, 0)
+        with pytest.raises(ValueError, match="order 4"):
+            extend(INITIAL, 20)
+        assert ode_residual(avoidance_series(30)).valuation() == 0
+
+    def test_inhomogeneous_term_is_read_too(self, monkeypatch):
+        self._changed(monkeypatch, 0, 1)
+        assert ode_residual(avoidance_series(30)).coeffs[:2] == (0, 1)
+        assert extend(INITIAL, 20) == avoidance_series(21).integer_coefficients()
 
 
 class TestThreeWayAgreement:

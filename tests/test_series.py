@@ -220,14 +220,6 @@ class TestSerialization:
 
 
 class TestShapeOps:
-    def test_differentiate(self):
-        s = poly(5, 1, 3, order=4)
-        d = s.differentiate()
-        assert d.coeffs == (1, 6, 0)
-        assert d.order == 3
-        with pytest.raises(ValueError):
-            poly(5, order=1).differentiate()
-
     def test_compress_even(self):
         s = poly(1, 0, 2, 0, 3, order=5)
         assert s.compress_even().coeffs == (1, 2, 3)
