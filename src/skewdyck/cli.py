@@ -22,12 +22,12 @@ oracle among them, in a forked child on a second CPU (see
 `main` flushes the output and then ends the process with `os._exit`,
 skipping the interpreter's teardown (module cleanup, the shutdown
 garbage collections, freeing every object); `atexit` handlers therefore
-do not run.  It exits the normal way when `SystemExit` (argparse errors,
-`--help`) or an exception other than a failed write leaves `run`, and
-when a tracer, profiler or monitoring tool is attached, so that the
-tool can write its results.  `run` only returns the exit code (or
-raises argparse's `SystemExit`), so that callers in the same process go
-on.
+do not run.  It flushes after argparse's `SystemExit` (errors, `--help`)
+too, and then exits the normal way, as it does when an exception other
+than a failed write leaves `run` and when a tracer, profiler or
+monitoring tool is attached, so that the tool can write its results.
+`run` only returns the exit code (or raises argparse's `SystemExit`),
+so that callers in the same process go on.
 """
 
 from __future__ import annotations
@@ -256,8 +256,16 @@ def cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file):
+        # argparse's own swallows a failed write; `main` must see a lost --help
+        if file is sys.stdout:
+            return file.write(message)
+        super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewdyck",
         description="Exact enumeration of skew Dyck paths with the up-down-red pattern forbidden or counted.",
     )
@@ -345,9 +353,11 @@ def main() -> None:
     try:
         if sys.stdout is None:  # started with fd 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = run(sys.argv[1:])
-        sys.stdout.flush()
-        sys.stderr.flush()
+        try:
+            code = run(sys.argv[1:])
+        finally:  # after argparse's SystemExit too, so that a lost --help shows
+            sys.stdout.flush()
+            sys.stderr.flush()
     except OSError as exc:
         # A reader that closed the pipe early, as `| head` does, is no error;
         # any other failed write is.  Point fd 1 at devnull so that no later

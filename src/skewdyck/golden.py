@@ -1,7 +1,9 @@
 """Vendored golden values: published series displays and OEIS terms.
 
-Each accessor returns a fresh list built from a literal with its
-provenance; nothing is read from disk or fetched from the network.
+Two literals with their provenance, OEIS A128729 and A128728; the
+published kernel-root display is A128729 read through utilde.  Each
+accessor returns a fresh list; nothing is read from disk or fetched
+from the network.
 """
 
 from __future__ import annotations
@@ -42,6 +44,6 @@ def a128728_rows() -> list[list[int]]:
 
 def utilde_display() -> list[int]:
     """Published kernel-root display as utilde coefficients, z^0..z^14."""
-    # The kernel root u1 normalised as utilde = z * u1; u1 itself is
-    # 1/z - z - z^3 - 2 z^5 - 6 z^7 - 20 z^9 - 71 z^11 - 262 z^13 - ...
-    return [1, 0, -1, 0, -1, 0, -2, 0, -6, 0, -20, 0, -71, 0, -262]
+    # The kernel root u1 normalised as utilde = z * u1 = 1 - z^2 S(z^2), S
+    # the A128729 series: u1 = 1/z - z - z^3 - 2 z^5 - 6 z^7 - 20 z^9 - ...
+    return [1] + [c for s in a128729_terms()[:7] for c in (0, -s)]

@@ -3,8 +3,9 @@
 S(z), the generating function of s_n (OEIS A128729), satisfies the ODE
 A0 + A1 S + B1 S' + B2 S'' = 0.  Its four polynomials, `ODE`, are the one
 transcription here, checked against the avoidance cubic's root rather
-than derived from it; the rest is read off them.  A term c z^i S^(k)
-puts c (m)_k s_m, a falling factorial, into the z^n row, m = n - i + k.
+than derived from it; the rest is read off them, and `INITIAL` off the
+A128729 literal in `golden`.  A term c z^i S^(k) puts c (m)_k s_m, a
+falling factorial, into the z^n row, m = n - i + k.
 Each row n >= 3 relates s_{n-3}..s_{n+1}: a 4th-order recurrence that
 `extend` applies by exact division, so a wrong initial term or ODE
 coefficient fails a division.  `ode_residual` evaluates the same rows.
@@ -14,11 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import golden
+
 # A0 = 31z - 8, A1 = -15z, B1 = -(2z - 1)(44z^3 + 15z^2 - 48z + 8) and
 # B2 = -z(11z^2 + 16z - 4)(2z - 1)^2, as coefficients of z^0, z^1, ...
 ODE = ((-8, 31), (0, -15), (8, -64, 111, 14, -88), (0, 4, -32, 69, -20, -44))
 RECURRENCE_ORDER = 4
-INITIAL = (1, 1, 2, 6)  # s_0..s_3, the first terms of OEIS A128729
+INITIAL = tuple(golden.a128729_terms()[:RECURRENCE_ORDER])  # s_0..s_3
 
 
 class NonIntegralStep(Exception):

@@ -109,7 +109,7 @@ def inverse_power(s: ZSeries, k: int) -> ZSeries:
         if gn is None:
             raise DivisionByNonUnit(f"{acc} is not divisible by {n} at z^{n}")
         g.append(gn)
-    return ZSeries._raw(tuple(g), s.order, ring)
+    return ZSeries._raw(tuple(g), ring)
 
 
 def level_gf(k: int, order: int, mode: GFMode) -> ZSeries:

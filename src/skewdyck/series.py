@@ -1,10 +1,11 @@
 """Truncated formal power series in z with coefficients in Z or Z[t].
 
-A series carries an explicit truncation order N, meaning it is known
-modulo z^N.  Arithmetic never reads beyond the order, and binary
-operations return the minimum of the input orders, so precision loss is
-always visible in the result type.  Algebraic equations P(z, S) = 0 with
-a simple root at the origin are solved by Newton iteration.
+A series keeps N coefficients and is known modulo z^N: its truncation
+order is the length of its tuple.  Arithmetic never reads beyond the
+order, and binary operations return the minimum of the input orders, so
+precision loss is always visible in the result type.  Algebraic
+equations P(z, S) = 0 with a simple root at the origin are solved by
+Newton iteration.
 
 Coefficients stay in Z or Z[t] throughout, because every divisor has
 constant term +1 or -1, its own inverse: `divide` raises
@@ -46,7 +47,7 @@ class SingularRoot(SeriesError):
 class ZSeries:
     """Power series known modulo z^order, coefficients in a fixed ring."""
 
-    __slots__ = ("coeffs", "order", "ring")
+    __slots__ = ("coeffs", "ring")
 
     def __init__(self, coeffs, order, ring):
         if order < 1:
@@ -54,18 +55,20 @@ class ZSeries:
         cs = [ring.coerce(c) for c in coeffs[:order]]
         cs.extend(ring.zero for _ in range(order - len(cs)))
         self.coeffs = tuple(cs)
-        self.order = order
         self.ring = ring
 
     @classmethod
-    def _raw(cls, coeffs: tuple, order: int, ring) -> "ZSeries":
-        """Internal constructor: `coeffs` is a tuple of exactly `order`
-        elements that are already in `ring`."""
+    def _raw(cls, coeffs: tuple, ring) -> "ZSeries":
+        """Internal constructor: `coeffs` is a tuple of elements of `ring`."""
         s = cls.__new__(cls)
         s.coeffs = coeffs
-        s.order = order
         s.ring = ring
         return s
+
+    @property
+    def order(self) -> int:
+        """The truncation order N: the series is known modulo z^N."""
+        return len(self.coeffs)
 
     # -- basics -------------------------------------------------------
 
@@ -76,9 +79,6 @@ class ZSeries:
                 return i
         return None
 
-    def is_zero(self) -> bool:
-        return self.valuation() is None
-
     def _check(self, other: "ZSeries"):
         if self.ring is not other.ring:
             raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
@@ -86,29 +86,19 @@ class ZSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZSeries):
             return NotImplemented
-        return (
-            self.ring is other.ring
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def agrees_with(self, other: "ZSeries") -> bool:
-        """Coefficientwise equality up to the smaller order."""
-        self._check(other)
-        n = min(self.order, other.order)
-        return self.coeffs[:n] == other.coeffs[:n]
+        return self.ring is other.ring and self.coeffs == other.coeffs
 
     # -- ring operations ----------------------------------------------
 
     def __neg__(self):
-        return ZSeries._raw(tuple(-c for c in self.coeffs), self.order, self.ring)
+        return ZSeries._raw(tuple(-c for c in self.coeffs), self.ring)
 
     def __add__(self, other):
         if not isinstance(other, ZSeries):
             other = ZSeries((other,), self.order, self.ring)
         self._check(other)
-        n = min(self.order, other.order)
-        return ZSeries._raw(tuple(map(add, self.coeffs[:n], other.coeffs[:n])), n, self.ring)
+        # map stops at the shorter tuple: the minimum of the two orders
+        return ZSeries._raw(tuple(map(add, self.coeffs, other.coeffs)), self.ring)
 
     __radd__ = __add__
 
@@ -121,7 +111,7 @@ class ZSeries:
     def __mul__(self, other):
         if not isinstance(other, ZSeries):
             scalar = self.ring.coerce(other)
-            return ZSeries._raw(tuple(c * scalar for c in self.coeffs), self.order, self.ring)
+            return ZSeries._raw(tuple(c * scalar for c in self.coeffs), self.ring)
         self._check(other)
         n = min(self.order, other.order)
         b = other.coeffs
@@ -131,7 +121,7 @@ class ZSeries:
                 for j in range(n - i):
                     if b[j]:
                         out[i + j] = out[i + j] + a * b[j]
-        return ZSeries._raw(tuple(out), n, self.ring)
+        return ZSeries._raw(tuple(out), self.ring)
 
     __rmul__ = __mul__
 
@@ -146,22 +136,21 @@ class ZSeries:
     def truncate(self, order: int) -> "ZSeries":
         if order > self.order:
             raise ValueError("cannot extend a series by truncation")
-        return ZSeries._raw(self.coeffs[:order], order, self.ring)
+        return ZSeries._raw(self.coeffs[:order], self.ring)
 
     def shift(self, k: int) -> "ZSeries":
         """Multiply by z^k; the result is known modulo z^(order + k)."""
         if k < 0:
             raise ValueError("negative shift")
         zero = self.ring.zero
-        return ZSeries._raw((zero,) * k + self.coeffs, self.order + k, self.ring)
+        return ZSeries._raw((zero,) * k + self.coeffs, self.ring)
 
     def compress_even(self) -> "ZSeries":
         """Substitute z^2 -> z; every odd coefficient must vanish."""
         for i in range(1, self.order, 2):
             if self.coeffs[i]:
                 raise SeriesError(f"odd coefficient z^{i} is nonzero")
-        out = self.coeffs[0::2]
-        return ZSeries._raw(out, (self.order + 1) // 2, self.ring)
+        return ZSeries._raw(self.coeffs[0::2], self.ring)
 
     # -- output -------------------------------------------------------
 
@@ -172,18 +161,10 @@ class ZSeries:
         else here is a bug and raises SeriesError.
         """
         for c in self.coeffs:
-            if isinstance(c, TPoly):
-                for x in c.coeffs:
-                    _as_int(x)
-            else:
-                _as_int(c)
+            for x in c.coeffs if isinstance(c, TPoly) else (c,):
+                if type(x) is not int:
+                    raise SeriesError(f"coefficient {x!r} is not an int")
         return list(self.coeffs)
-
-
-def _as_int(c) -> int:
-    if type(c) is not int:
-        raise SeriesError(f"coefficient {c!r} is not an int")
-    return c
 
 
 def divide(a: ZSeries, b: ZSeries) -> ZSeries:
@@ -204,7 +185,7 @@ def divide(a: ZSeries, b: ZSeries) -> ZSeries:
     for k in range(n):
         r = num[k] - sum(map(mul, den[:k], reversed(q)), ring.zero)
         q.append(-r if negate else r)
-    return ZSeries._raw(tuple(q), n, ring)
+    return ZSeries._raw(tuple(q), ring)
 
 
 class AlgEquation:
@@ -276,7 +257,7 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
         raise ValueError(f"unknown schedule {schedule!r}")
     ring = eq.ring
     s0 = ring.coerce(s0)
-    s = ZSeries._raw((s0,), 1, ring)
+    s = ZSeries._raw((s0,), ring)
     value = eq.apply(s).coeffs[0]
     if value:
         raise NotARoot(f"P(0, {s0!r}) = {value!r} != 0")
@@ -298,10 +279,10 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
     for target in targets:
         k = s.order
         h = target - k
-        s = ZSeries._raw(s.coeffs + (ring.zero,) * h, target, ring)
-        top = ZSeries._raw(eq.apply(s).coeffs[k:], h, ring)
+        s = ZSeries._raw(s.coeffs + (ring.zero,) * h, ring)
+        top = ZSeries._raw(eq.apply(s).coeffs[k:], ring)
         step = divide(top, deq.apply(s.truncate(h)))
-        s = ZSeries._raw(s.coeffs[:k] + tuple(-c for c in step.coeffs), target, ring)
+        s = ZSeries._raw(s.coeffs[:k] + tuple(-c for c in step.coeffs), ring)
     return s
 
 

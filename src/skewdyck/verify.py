@@ -6,7 +6,7 @@ Each check compares two sources and returns a pass/fail record; the CLI
     dp-vs-oracle          automaton vs brute-force walk (`paths`)
     kernel-residual       kernel root vs the cubic it was solved from: a
                           route against itself, so a solver check
-    kernel-root-display   kernel root vs vendored golden display
+    kernel-root-display   kernel root vs vendored A128729, as utilde
     series-vs-golden      avoidance cubic's root vs vendored A128729
     bivariate-vs-golden   marker cubic's root vs vendored A128728
     level-gf-vs-dp        kernel level series vs automaton, both modes

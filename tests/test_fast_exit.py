@@ -116,6 +116,9 @@ SUBCOMMANDS = [
     ["verify", "--order", "6"],
     ["asympt", "--n", "5"],
     ["render", "UD"],
+    # argparse swallows a failed write of its help and exits 0
+    pytest.param(["--help"], id="help"),
+    pytest.param(["count", "--help"], id="count-help"),
 ]
 UNWRITABLE = [
     pytest.param(">&-", id="closed"),
@@ -145,6 +148,12 @@ def _assert_unwritable(proc):
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_unwritable_stdout_exits_2_with_one_line(argv, redirect):
     _assert_unwritable(_shell(["-m", "skewdyck", *argv], redirect))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unbuffered_help_on_a_full_device_exits_2():
+    # Unbuffered, the write fails inside argparse, which would swallow it.
+    _assert_unwritable(_shell(["-u", "-m", "skewdyck", "--help"], ">/dev/full"))
 
 
 @pytest.mark.parametrize("redirect", UNWRITABLE)

@@ -1,0 +1,40 @@
+"""The vendored golden values hold each published term once.
+
+The kernel-root display and the recurrence's initial terms are read off
+the A128729 literal, so a change to that literal must show in every
+check that reads it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from skewdyck import golden, holonomic, verify
+
+
+def test_recurrence_starts_from_a128729():
+    assert holonomic.INITIAL == (1, 1, 2, 6)
+    # In a fresh interpreter, so that holonomic is imported after the patch.
+    code = (
+        "from skewdyck import golden\n"
+        "golden.a128729_terms = lambda: [5, 7, 11, 13, 17]\n"
+        "from skewdyck import holonomic\n"
+        "print(holonomic.INITIAL)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(5, 7, 11, 13)\n", "")
+
+
+def test_a_wrong_term_fails_both_checks_that_read_it(monkeypatch):
+    # On the one-process path, so that every check sees the patched literal.
+    monkeypatch.setattr(verify, "_other_cpus", set)
+    terms = golden.a128729_terms()
+    terms[3] = 7
+    monkeypatch.setattr(golden, "a128729_terms", lambda: list(terms))
+    failed = {r.name: r.detail for r in verify.run_all(8) if not r.ok}
+    assert failed == {
+        "kernel-root-display": "at n=8: kernel -6 vs golden -7",
+        "series-vs-golden": "at n=3: solver 6 vs golden 7",
+    }

@@ -108,7 +108,7 @@ class TestReadOffTheOde:
         with pytest.raises(NonIntegralStep) as info:
             extend(INITIAL, 20)
         assert info.value.n <= 16
-        assert not ode_residual(avoidance_series(30)).is_zero()
+        assert ode_residual(avoidance_series(30)).valuation() is not None
 
     def test_b2_at_zero_would_raise_the_order(self, monkeypatch):
         # A constant term in B2 puts s_{n+5} into row n + 3.
@@ -142,7 +142,7 @@ class TestOdeResidual:
     def test_vanishes_on_avoidance_series(self):
         r = ode_residual(avoidance_series(30))
         assert r.order == 28
-        assert r.is_zero()
+        assert r.valuation() is None
 
     def test_constant_one(self):
         r = ode_residual(ZSeries([1], 6, QQ))

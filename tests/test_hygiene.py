@@ -22,7 +22,7 @@ DEFAULTED = {
 }
 
 # Defined in src/skewdyck but named only by the tests.
-TEST_ONLY = {"paths.enumerate_paths", "series.ZSeries.is_zero", "series.ZSeries.agrees_with"}
+TEST_ONLY = {"paths.enumerate_paths"}
 
 
 def _imported_names(tree):

@@ -179,7 +179,7 @@ def solve_undetermined(eq, s0, order):
     ring = eq.ring
     at_origin = ZSeries([s0], 1, ring)
     d0 = eq.derivative().apply(at_origin).coeffs[0]
-    assert eq.apply(at_origin).is_zero() and d0 in (ring.one, -ring.one)
+    assert eq.apply(at_origin).valuation() is None and d0 in (ring.one, -ring.one)
     coeffs = [ring.coerce(s0)]
     for n in range(1, order):
         probe = ZSeries(tuple(coeffs) + (ring.zero,), n + 1, ring)

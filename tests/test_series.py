@@ -68,6 +68,38 @@ class TestArithmetic:
         assert (a * b).coeffs == (b * a).coeffs
 
 
+class TestOrderIsLength:
+    def test_only_coefficients_and_ring_are_stored(self):
+        assert ZSeries.__slots__ == ("coeffs", "ring")
+        s = poly(1, 2, order=3)
+        assert s.order == 3
+        with pytest.raises(AttributeError):
+            s.order = 5
+
+    @given(small_series, small_series, st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40)
+    def test_every_result_has_its_length_as_order(self, a, b, n, k):
+        a = a.truncate(n)
+        unit = ZSeries((1,) + b.coeffs[1:], b.order, QQ)
+        even = ZSeries([0 if i % 2 else c for i, c in enumerate(a.coeffs)], n, QQ)
+        expected = [
+            (n, [-a, a * 3, a - 5, 5 - a]),
+            (min(n, 8), [a + b, a - b, a * b, divide(a, unit)]),
+            (8, [unit.inverse()]),
+            (n + k, [a.shift(k)]),
+            ((n + 1) // 2, [even.compress_even()]),
+        ]
+        for order, results in expected:
+            for r in results:
+                assert r.order == len(r.coeffs) == order
+
+    @pytest.mark.parametrize("schedule", ["doubling", "linear"])
+    def test_solver_returns_the_order_asked_for(self, schedule):
+        for order in range(1, 12):
+            root = solve_algebraic(avoidance_cubic(), 1, order, schedule=schedule)
+            assert root.order == len(root.coeffs) == order
+
+
 class TestDivision:
     def test_valuation_stripping(self):
         # no z power is stripped: a divisor's constant term must be +1 or -1
@@ -199,7 +231,7 @@ class TestEquationEvaluateT:
 class TestResidual:
     def test_solver_output_residual_zero(self):
         eq = avoidance_cubic()
-        assert eq.apply(solve_algebraic(eq, 1, 20)).is_zero()
+        assert eq.apply(solve_algebraic(eq, 1, 20)).valuation() is None
 
     def test_constant_one_not_a_solution(self):
         r = avoidance_cubic().apply(poly(1, order=4))
@@ -207,7 +239,7 @@ class TestResidual:
         assert r.coeffs == (0, Fraction(-1), Fraction(2), 0)
 
     def test_kept_series_satisfies_avoidance_cubic(self):
-        assert avoidance_cubic().apply(avoidance_series(30)).is_zero()
+        assert avoidance_cubic().apply(avoidance_series(30)).valuation() is None
 
 
 class TestSerialization:
@@ -280,7 +312,7 @@ class TestIntegerRings:
             divide(poly(1, ring=QT), poly(TPoly([1, 1]), ring=QT))
 
     def test_integer_coefficients_is_a_type_guard(self):
-        bad = ZSeries._raw((1, Fraction(1, 2)), 2, QQ)
+        bad = ZSeries._raw((1, Fraction(1, 2)), QQ)
         with pytest.raises(SeriesError):
             bad.integer_coefficients()
 
