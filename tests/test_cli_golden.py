@@ -30,10 +30,14 @@ VERIFY_ROWS = [
 
 COMMANDS = {
     "count": ["count", "10", "0"],
+    "count-zero": ["count", "5", "7"],
+    "count-half": ["count", "10", "0", "--t-eval", "1/2"],
     "series": ["series", "--order", "9"],
     "series-half": ["series", "--order", "9", "--half-length"],
     "bivariate": ["bivariate", "--order", "7"],
     "levels": ["levels", "1", "--order", "6"],
+    "levels-zero": ["levels", "2", "--order", "8", "--t-eval", "zero"],
+    "levels-neg": ["levels", "2", "--order", "8", "--t-eval=-7/3"],
     "verify": ["verify", "--order", "8"],
     "asympt": ["asympt", "--n", "1", "--n", "50", "--n", "472"],
 }
@@ -42,6 +46,13 @@ GOLDEN = [
     ("count", "text", "[71 64 2]\n"),
     ("count", "json", '{"count": "[71 64 2]", "t_mode": "track"}\n'),
     ("count", "tsv", "[71 64 2]\n"),
+    # the zero polynomial, and a Fraction cell from a rational --t-eval
+    ("count-zero", "text", "[0]\n"),
+    ("count-zero", "json", '{"count": "[0]", "t_mode": "track"}\n'),
+    ("count-zero", "tsv", "[0]\n"),
+    ("count-half", "text", "207/2\n"),
+    ("count-half", "json", '{"count": "207/2", "t_mode": "1/2"}\n'),
+    ("count-half", "tsv", "207/2\n"),
     ("series", "text", "1 0 1 0 2 0 6 0 20\n"),
     (
         "series",
@@ -78,6 +89,21 @@ GOLDEN = [
         '"variable": "z", "t_mode": "track"}\n',
     ),
     ("levels", "tsv", "[0]\t[1]\t[0]\t[2]\t[0]\t[5 1]\n"),
+    # int cells, then Fraction cells (integral ones print as ints)
+    ("levels-zero", "text", "0 0 1 0 3 0 9 0\n"),
+    (
+        "levels-zero",
+        "json",
+        '{"sequence": ["0", "0", "1", "0", "3", "0", "9", "0"], "variable": "z", "t_mode": "zero"}\n',
+    ),
+    ("levels-zero", "tsv", "0\t0\t1\t0\t3\t0\t9\t0\n"),
+    ("levels-neg", "text", "0 0 1 0 3 0 20/3 0\n"),
+    (
+        "levels-neg",
+        "json",
+        '{"sequence": ["0", "0", "1", "0", "3", "0", "20/3", "0"], "variable": "z", "t_mode": "-7/3"}\n',
+    ),
+    ("levels-neg", "tsv", "0\t0\t1\t0\t3\t0\t20/3\t0\n"),
     (
         "verify",
         "text",
