@@ -2,7 +2,7 @@
 
 Subcommands: count, series, bivariate, levels, verify, asympt, render.
 Output is byte-stable for fixed flags; JSON payloads follow the schema
-{"sequence": [...decimal strings...], "variable": "z"|"z(half)",
+{"sequence": [...cell strings...], "variable": "z"|"z(half)",
 "t_mode": <track|zero|one|rational>}.  Exit codes: 0 success, 1 failed
 verification, 2 flag errors (every size has an upper cap below) and
 output that cannot be written (stdout closed, a full disk, a bad
@@ -11,7 +11,9 @@ early, as `skewdyck bivariate --order 200 | head -1` does, is no error:
 the command ends quietly with exit 0.
 
 The engine computes over Z and Z[t]; a rational --t-eval is applied
-only here, to the finished marker polynomials.
+only here, to the finished marker polynomials.  Each output cell is
+`str` of an int, a Fraction or a TPoly, whose form (`[71 64 2]`)
+`rings` decides.
 
 Each subcommand imports the modules it runs when it runs, so start-up
 loads only argparse and this module; the verify cap comes from the
@@ -97,18 +99,6 @@ def _parse_t_eval(value: str):
     return t
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, int):
-        return str(c)
-    from .rings import TPoly  # loaded already by the route that built c
-
-    if isinstance(c, TPoly):
-        if not c.coeffs:
-            return "[0]"
-        return "[" + " ".join(str(x) for x in c.coeffs) + "]"
-    return str(c)  # a Fraction, from a rational --t-eval
-
-
 def _emit(args, payload, rows, text_line) -> None:
     """Print `payload` as JSON, or one line per row of string cells: the
     cells joined by a tab (tsv) or laid out by `text_line` (text)."""
@@ -123,7 +113,7 @@ def _emit(args, payload, rows, text_line) -> None:
 
 
 def _emit_sequence(args, coeffs, variable: str, t_mode: str) -> None:
-    cells = [_coeff_str(c) for c in coeffs]
+    cells = [str(c) for c in coeffs]  # an int, a TPoly or a Fraction
     _emit(args, {"sequence": cells, "variable": variable, "t_mode": t_mode}, [cells], " ".join)
 
 
@@ -137,7 +127,7 @@ def _eval_tpoly(poly, t_eval):
 def cmd_count(args) -> int:
     from . import automaton
 
-    result = _coeff_str(_eval_tpoly(automaton.count(args.length, args.level), args.t_eval))
+    result = str(_eval_tpoly(automaton.count(args.length, args.level), args.t_eval))
     _emit(args, {"count": result, "t_mode": str(args.t_eval)}, [[result]], " ".join)
     return 0
 

@@ -8,6 +8,10 @@ No rationals are needed: the series engine divides only by units, +1
 or -1 (the rule is stated in `skewdyck.series`).  Rational values of t
 enter only at the CLI, when a finished Z[t] coefficient is evaluated
 for output.
+
+A TPoly prints as its coefficient list, `[71 64 2]` for 71 + 64t + 2t^2:
+the one text form of a marker polynomial, in the CLI's output and in
+`verify`'s failure lines alike.
 """
 
 from __future__ import annotations
@@ -112,19 +116,9 @@ class TPoly:
         return f"TPoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            elif j == 1:
-                parts.append("t" if c == 1 else f"{c}*t")
-            else:
-                parts.append(f"t^{j}" if c == 1 else f"{c}*t^{j}")
-        return " + ".join(parts)
+        """The package's one text form of a marker polynomial, as every
+        command prints it: `[71 64 2]` for 71 + 64t + 2t^2, `[0]` for zero."""
+        return "[" + " ".join(map(str, self.coeffs or (0,))) + "]"
 
 
 T = TPoly((0, 1))

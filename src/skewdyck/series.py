@@ -261,11 +261,8 @@ def solve_algebraic(eq: AlgEquation, s0, order: int, schedule: str = "doubling")
     value = eq.apply(s).coeffs[0]
     if value:
         raise NotARoot(f"P(0, {s0!r}) = {value!r} != 0")
-    if eq.degree:
-        deq = eq.derivative()
-        slope = deq.apply(s).coeffs[0]
-    else:  # S does not occur, so dP/dS = 0
-        slope = ring.zero
+    deq = eq.derivative()
+    slope = deq.apply(s).coeffs[0]
     if slope not in (ring.one, -ring.one):
         raise SingularRoot(f"dP/dS(0, {s0!r}) = {slope!r} is not +1 or -1")
     if schedule == "linear":

@@ -97,11 +97,11 @@ def check_kernel_residual() -> CheckResult:
     from . import kernel
 
     for mode in kernel.GFMode:
-        utilde = kernel.kernel_root(64, mode)
-        diff = _residual(kernel.kernel_equation(mode).apply(utilde), "z")
+        residual = kernel.kernel_equation(mode).apply(kernel.kernel_root(64, mode))
+        diff = _residual(residual, "z")
         if diff:
             return CheckResult("kernel-residual", False, f"{mode.value} mode, {diff}")
-    return CheckResult("kernel-residual", True, "both modes, mod z^64")
+    return CheckResult("kernel-residual", True, f"both modes, mod z^{residual.order}")
 
 
 def check_kernel_root_display() -> CheckResult:
@@ -125,9 +125,8 @@ def check_series_vs_golden() -> CheckResult:
 def check_bivariate_vs_golden() -> CheckResult:
     from . import cubics, golden
 
-    want = golden.a128728_rows()
-    series = cubics.marker_series(len(want)).integer_coefficients()
-    got = [list(c.coeffs) if c.coeffs else [0] for c in series]
+    want = [TPoly(row) for row in golden.a128728_rows()]
+    got = cubics.marker_series(len(want)).integer_coefficients()
     diff = _first_difference(got, want, "solver", "golden")
     return CheckResult("bivariate-vs-golden", not diff, diff)
 
@@ -138,7 +137,8 @@ def check_level_gfs() -> CheckResult:
     levels = range(7)
     track = [kernel.level_gf(k, 17, kernel.GFMode.BIVARIATE) for k in levels]
     forbid = [kernel.level_gf(k, 17, kernel.GFMode.UNIVARIATE) for k in levels]
-    for m, state in enumerate(automaton.walk(16)):
+    length = track[0].order - 1  # the longest paths the series count
+    for m, state in enumerate(automaton.walk(length)):
         by_level = automaton.by_level(state)
         for k in levels:
             want = by_level.get(k, TPoly())
@@ -150,7 +150,7 @@ def check_level_gfs() -> CheckResult:
                 return CheckResult(
                     "level-gf-vs-dp", False, f"forbid k={k} m={m}: kernel {got} vs automaton {want(0)}"
                 )
-    return CheckResult("level-gf-vs-dp", True, "k <= 6, m <= 16")
+    return CheckResult("level-gf-vs-dp", True, f"k <= {levels[-1]}, m <= {length}")
 
 
 def check_half_length_collapse() -> CheckResult:
@@ -159,34 +159,36 @@ def check_half_length_collapse() -> CheckResult:
     solvers = ((kernel.GFMode.UNIVARIATE, cubics.avoidance_series), (kernel.GFMode.BIVARIATE, cubics.marker_series))
     for mode, solver in solvers:
         lvl0 = kernel.level_gf(0, 48, mode).compress_even()
-        diff = _first_difference(lvl0.coeffs, solver(24).coeffs, "kernel", "solver")
+        diff = _first_difference(lvl0.coeffs, solver(lvl0.order).coeffs, "kernel", "solver")
         if diff:
             return CheckResult("half-length-collapse", False, f"{mode.value} mode, {diff}")
-    return CheckResult("half-length-collapse", True, "both modes, 24 half-length terms")
+    return CheckResult("half-length-collapse", True, f"both modes, {lvl0.order} half-length terms")
 
 
 def check_transformed_cubic() -> CheckResult:
     from . import cubics, kernel
 
     lvl0 = kernel.level_gf(0, 60, kernel.GFMode.UNIVARIATE).compress_even()
-    diff = _residual(cubics.avoidance_cubic().apply(lvl0), "Z")
-    return CheckResult("transformed-cubic", not diff, diff or "residual mod Z^30")
+    residual = cubics.avoidance_cubic().apply(lvl0)
+    diff = _residual(residual, "Z")
+    return CheckResult("transformed-cubic", not diff, diff or f"residual mod Z^{residual.order}")
 
 
 def check_recurrence() -> CheckResult:
     from . import cubics, holonomic
 
     seq = holonomic.extend(holonomic.INITIAL, 200)
-    solver = cubics.avoidance_series(201).integer_coefficients()
+    solver = cubics.avoidance_series(len(seq)).integer_coefficients()
     diff = _first_difference(seq, solver, "recurrence", "solver")
-    return CheckResult("recurrence-vs-solver", not diff, diff or "agreement to n=200")
+    return CheckResult("recurrence-vs-solver", not diff, diff or f"agreement to n={len(seq) - 1}")
 
 
 def check_ode() -> CheckResult:
     from . import cubics, holonomic
 
-    diff = _residual(holonomic.ode_residual(cubics.avoidance_series(30)), "z")
-    return CheckResult("ode-residual", not diff, diff or "zero mod z^28")
+    residual = holonomic.ode_residual(cubics.avoidance_series(30))
+    diff = _residual(residual, "z")
+    return CheckResult("ode-residual", not diff, diff or f"zero mod z^{residual.order}")
 
 
 def check_boundary_identity() -> CheckResult:
@@ -195,11 +197,11 @@ def check_boundary_identity() -> CheckResult:
     for mode in kernel.GFMode:
         consts = kernel.boundary_constants(20, mode)
         constants = 1 + consts["g0"] + consts["h0"] + consts["k0"]
-        level0 = kernel.level_gf(0, 20, mode)
+        level0 = kernel.level_gf(0, constants.order, mode)
         diff = _first_difference(constants.coeffs, level0.coeffs, "constants", "level-0")
         if diff:
             return CheckResult("boundary-identity", False, f"{mode.value} mode, {diff}")
-    return CheckResult("boundary-identity", True, "both modes, mod z^20")
+    return CheckResult("boundary-identity", True, f"both modes, mod z^{level0.order}")
 
 
 def check_asymptotics() -> CheckResult:

@@ -96,6 +96,11 @@ class TestCount:
         _, out, _ = capout("count", "10", "0", "--t-eval", "1/2")
         assert out.strip() == "207/2"  # 71 + 64/2 + 2/4
 
+    @pytest.mark.parametrize("length, level", [(0, 0), (4, 0), (10, 0), (9, 3), (12, 2), (5, 7)])
+    def test_printed_form_is_the_polynomials_str(self, capout, length, level):
+        _, out, _ = capout("count", str(length), str(level))
+        assert out == f"{automaton.count(length, level)}\n"
+
     def test_negative_rational_t(self, capout):
         # "--t-eval -7/3" would read -7/3 as an option; the "=" form works.
         _, out, _ = capout("count", "10", "0", "--t-eval=-7/3")
@@ -149,8 +154,8 @@ class TestVerify:
         code, out, err = capout("verify", "--order", "8")
         assert code == 1
         lines = out.splitlines()
-        assert lines[0] == "FAIL dp-vs-oracle  (mismatch at length 4 level 0: automaton 3 vs oracle 2 + t)"
-        assert lines[5] == "FAIL level-gf-vs-dp  (k=0 m=4: kernel 2 + t vs automaton 3)"
+        assert lines[0] == "FAIL dp-vs-oracle  (mismatch at length 4 level 0: automaton [3] vs oracle [2 1])"
+        assert lines[5] == "FAIL level-gf-vs-dp  (k=0 m=4: kernel [2 1] vs automaton [3])"
         assert len(lines) == 12
         assert all(line.startswith("PASS") for i, line in enumerate(lines) if i not in (0, 5))
         assert err == "2 check(s) failed\n"
@@ -166,7 +171,7 @@ class TestVerify:
                 5,
                 [71, 64, 3],
                 4,
-                "FAIL bivariate-vs-golden  (at n=5: solver [71, 64, 2] vs golden [71, 64, 3])",
+                "FAIL bivariate-vs-golden  (at n=5: solver [71 64 2] vs golden [71 64 3])",
             ),
         ],
     )
@@ -219,7 +224,7 @@ class TestVerify:
             return hist
 
         monkeypatch.setattr(paths, "udr_profile", without_length_4_level_2)
-        self._only_failure(capout, 0, "FAIL dp-vs-oracle  (mismatch at length 4 level 2: automaton 3 vs oracle 0)")
+        self._only_failure(capout, 0, "FAIL dp-vs-oracle  (mismatch at length 4 level 2: automaton [3] vs oracle [0])")
 
     def test_wrong_kernel_root_names_mode_power_and_residual(self, capout, monkeypatch):
         kernel_root = kernel.kernel_root
@@ -230,6 +235,18 @@ class TestVerify:
 
         monkeypatch.setattr(kernel, "kernel_root", off_at_z7)
         self._only_failure(capout, 1, "FAIL kernel-residual  (univariate mode, at z^7: residual 3)")
+
+    def test_pass_detail_reads_the_order_checked(self, capout, monkeypatch):
+        kernel_root = kernel.kernel_root
+
+        def halved(order, mode):  # only the residual check asks for order 64
+            root = kernel_root(order, mode)
+            return root.truncate(32) if order == 64 else root
+
+        monkeypatch.setattr(kernel, "kernel_root", halved)
+        code, out, _ = capout("verify", "--order", "8")
+        assert code == 0
+        assert out.splitlines()[1] == "PASS kernel-residual  (both modes, mod z^32)"
 
     def test_wrong_marker_series_names_mode_power_and_values(self, capout, monkeypatch):
         marker_series = cubics.marker_series
@@ -242,7 +259,7 @@ class TestVerify:
         self._only_failure(
             capout,
             6,
-            "FAIL half-length-collapse  (bivariate mode, at n=5: kernel 71 + 64*t + 2*t^2 vs solver 71 + 65*t + 2*t^2)",
+            "FAIL half-length-collapse  (bivariate mode, at n=5: kernel [71 64 2] vs solver [71 65 2])",
         )
 
     def test_wrong_transformed_cubic_names_power_and_residual(self, capout, monkeypatch):
@@ -271,7 +288,7 @@ class TestVerify:
 
         monkeypatch.setattr(kernel, "boundary_constants", k0_off_at_z6)
         self._only_failure(
-            capout, 10, "FAIL boundary-identity  (bivariate mode, at n=6: constants 6 + 5*t vs level-0 6 + 4*t)"
+            capout, 10, "FAIL boundary-identity  (bivariate mode, at n=6: constants [6 5] vs level-0 [6 4])"
         )
 
     def test_wrong_closed_form_z0_names_both_values(self, capout, monkeypatch):

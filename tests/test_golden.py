@@ -38,3 +38,9 @@ def test_a_wrong_term_fails_both_checks_that_read_it(monkeypatch):
         "kernel-root-display": "at n=8: kernel -6 vs golden -7",
         "series-vs-golden": "at n=3: solver 6 vs golden 7",
     }
+
+
+def test_a128728_rows_end_in_a_nonzero_term():
+    # bivariate-vs-golden compares TPoly(row), which strips trailing
+    # zeros: a stray 0 at the end of a row would pass it unseen.
+    assert all(row and row[-1] != 0 for row in golden.a128728_rows())

@@ -71,6 +71,20 @@ class TestTPolyAgainstLists:
         assert sum([p], TPoly()) is p
 
 
+class TestTextForm:
+    @given(coeff_lists)
+    @example([])
+    @example([0, 0])
+    def test_str_reads_back(self, a):
+        p = TPoly(a)
+        assert TPoly([int(x) for x in str(p)[1:-1].split()]) == p
+
+    def test_examples(self):
+        assert str(TPoly([71, 64, 2])) == "[71 64 2]"
+        assert str(TPoly([0, -1, 0])) == "[0 -1]"
+        assert str(TPoly()) == "[0]"
+
+
 class TestExactDivision:
     def test_integer_ring(self):
         assert QQ.divexact(12, -4) == -3

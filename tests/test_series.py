@@ -164,8 +164,8 @@ class TestSolver:
         eq = AlgEquation([[1, 1], [-2], [1]], QQ)  # (S-1)^2 + z: double root
         with pytest.raises(SingularRoot):
             solve_algebraic(eq, 1, 4)
-        with pytest.raises(SingularRoot, match=r"dP/dS\(0, 0\) = 0 is not \+1 or -1"):
-            solve_algebraic(AlgEquation([[0, 1]], QQ), 0, 4)  # z = 0: S does not occur
+        with pytest.raises(ValueError, match="S does not occur"):
+            solve_algebraic(AlgEquation([[0, 1]], QQ), 0, 4)  # z = 0
 
     def test_derivative_without_s_says_so(self):
         with pytest.raises(ValueError, match="S does not occur in the equation"):
