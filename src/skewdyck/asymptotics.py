@@ -68,17 +68,8 @@ def log_estimate(n: int) -> float:
     return math.log(AMPLITUDE) + n * math.log(GROWTH) - 1.5 * math.log(n)
 
 
-def estimate(n: int) -> float:
-    """The estimate itself; overflows to inf only when the true value
-    exceeds double range (n around 460)."""
-    try:
-        return math.exp(log_estimate(n))
-    except OverflowError:
-        return math.inf
-
-
 def coefficient_ratio(n: int, coefficients: Sequence[int]) -> float:
-    """s_n / estimate(n), computed as exp(log s_n - log estimate).
+    """s_n over the estimate, computed as exp(log s_n - log estimate).
 
     math.log on a big int is exact to double precision, so the ratio is
     meaningful even when both sides overflow a double.
@@ -98,6 +89,9 @@ def convergence_report(
     rows = []
     for n in n_values:
         ratio = coefficient_ratio(n, coefficients)
-        est = estimate(n)
-        rows.append((n, coefficients[n], est if math.isfinite(est) else None, ratio))
+        try:
+            est = math.exp(log_estimate(n))
+        except OverflowError:
+            est = None
+        rows.append((n, coefficients[n], est, ratio))
     return rows

@@ -44,6 +44,7 @@ from . import ORACLE_CAP
 
 DEFAULT_ORDER = 16
 ASYMPT_CAP = 20000  # largest --n; s_20000 has 13 245 digits
+ASYMPT_NS_CAP = 100  # --n values in one asympt request
 # Upper caps on the other sizes, chosen from timings: at most about 11 s
 # of work at any cap on a 2-core Xeon guest (README lists them).
 SERIES_CAP = 2000  # series --order
@@ -77,6 +78,16 @@ def _bounded_word(text: str) -> str:
     if len(text) > RENDER_CAP:
         raise argparse.ArgumentTypeError(f"word has {len(text)} letters: at most {RENDER_CAP}")
     return text
+
+
+class _AppendAtMost(argparse.Action):
+    """argparse action: append, up to ASYMPT_NS_CAP values."""
+
+    def __call__(self, parser, namespace, value, option_string):
+        values = [*(getattr(namespace, self.dest) or ()), value]
+        if len(values) > ASYMPT_NS_CAP:
+            parser.error(f"argument {option_string}: at most {ASYMPT_NS_CAP} values")
+        setattr(namespace, self.dest, values)
 
 
 def _parse_t_eval(value: str):
@@ -167,10 +178,9 @@ def cmd_levels(args) -> int:
     gf = kernel.level_gf(args.level, args.order, mode)
     if args.half_length:
         gf = gf.compress_even()
+    coeffs = gf.integer_coefficients()
     if mode is kernel.GFMode.BIVARIATE:
-        coeffs = [_eval_tpoly(c, args.t_eval) for c in gf.integer_coefficients()]
-    else:
-        coeffs = gf.integer_coefficients()
+        coeffs = [_eval_tpoly(c, args.t_eval) for c in coeffs]
     variable = "z(half)" if args.half_length else "z"
     _emit_sequence(args, coeffs, variable, str(args.t_eval))
     return 0
@@ -229,11 +239,10 @@ def cmd_render(args) -> int:
     from . import paths
 
     try:
-        path = paths.SkewPath(paths.parse_word(args.word))
+        svg = paths.render_svg(paths.parse_word(args.word), args.unit_px)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    svg = paths.render_svg(path, args.unit_px)
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -307,12 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("asympt", help="convergence report of exact vs asymptotic counts")
-    p.add_argument(
-        "--n",
-        type=_bounded_int(1, ASYMPT_CAP),
-        action="append",
-        help=f"half-length to report, 1..{ASYMPT_CAP} (repeatable)",
-    )
+    n_help = f"half-length to report, 1..{ASYMPT_CAP} (repeatable, at most {ASYMPT_NS_CAP} times)"
+    p.add_argument("--n", type=_bounded_int(1, ASYMPT_CAP), action=_AppendAtMost, help=n_help)
     add_format(p)
     p.set_defaults(fn=cmd_asympt)
 

@@ -1,12 +1,13 @@
 """Skew path words: validity rules, brute-force enumeration, and an SVG
 renderer.
 
-A path is a word, a str over three letters: U (up, +1), D (down-black,
--1) and R (down-red, -1, the encoded left step; `parse_word` also reads
-L as R).  A word is valid when it never dips below the axis and never
-contains the factors UR or RU.  The contiguous factor UDR is the marked
-pattern: forbidden in avoidance counts, tallied by the marker t
-otherwise.
+A path is its word, a plain str over three letters: U (up, +1), D
+(down-black, -1) and R (down-red, -1, the encoded left step).  A word is
+valid when it never dips below the axis and never contains the factors
+UR or RU.  The contiguous factor UDR is the marked pattern: forbidden in
+avoidance counts, tallied by the marker t otherwise.  `parse_word` is
+the one gate from typed text to a valid word (it also reads L as R), and
+`render_svg` draws a valid word.
 
 The enumerator here is the ground-truth oracle for every other module:
 it extends only valid prefixes and applies nothing but the local word
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import accumulate
 
 from . import ORACLE_CAP
 
@@ -27,12 +29,17 @@ class CapExceeded(Exception):
 
 
 def parse_word(text: str) -> str:
-    """The word a user typed, upper-cased, with L read as R."""
+    """The valid word a user typed, upper-cased, with L read as R; a
+    ValueError for an unknown letter or a word that breaks a rule."""
     word = text.strip().upper()
     for ch in word:
         if ch not in "UDRL":
             raise ValueError(f"unknown step letter {ch!r} (expected U, D, R)")
-    return word.replace("L", "R")
+    word = word.replace("L", "R")
+    v = validate(word)
+    if v is not None:
+        raise ValueError(f"invalid word: {v.rule} at index {v.index}")
+    return word
 
 
 # The forbidden factors, each with the rule name a violation reports.
@@ -62,23 +69,6 @@ def validate(word: str) -> Violation | None:
         if rule:
             return Violation(i, rule)
     return None
-
-
-class SkewPath:
-    """A validated word with its level profile."""
-
-    def __init__(self, steps: str):
-        v = validate(steps)
-        if v is not None:
-            raise ValueError(f"invalid word: {v.rule} at index {v.index}")
-        self.steps = steps
-        levels = [0]
-        for s in steps:
-            levels.append(levels[-1] + (1 if s == "U" else -1))
-        self.levels = tuple(levels)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def _check_length(length: int) -> None:
@@ -175,14 +165,15 @@ _RED = "#cc0022"
 _BLACK = "#000000"
 
 
-def render_svg(path: SkewPath, unit_px: int) -> str:
-    """Standalone SVG 1.1 drawing, one segment per step.
+def render_svg(word: str, unit_px: int) -> str:
+    """Standalone SVG 1.1 drawing of a valid word, one segment per step.
 
     U is drawn as (+1,+1); D and R as (+1,-1), R in the red stroke.  Output is byte-stable for fixed inputs.
     """
+    levels = [0, *accumulate(1 if step == "U" else -1 for step in word)]
     margin = unit_px
-    top = max(path.levels) if path.levels else 0
-    width = len(path) * unit_px + 2 * margin
+    top = max(levels)
+    width = len(word) * unit_px + 2 * margin
     height = top * unit_px + 2 * margin
 
     def x(i):
@@ -196,13 +187,13 @@ def render_svg(path: SkewPath, unit_px: int) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<line x1="{x(0)}" y1="{y(0)}" x2="{x(len(path))}" y2="{y(0)}" '
+        f'<line x1="{x(0)}" y1="{y(0)}" x2="{x(len(word))}" y2="{y(0)}" '
         f'stroke="#bbbbbb" stroke-dasharray="4 4" stroke-width="1"/>',
     ]
-    for i, step in enumerate(path.steps):
+    for i, step in enumerate(word):
         lines.append(
-            f'<line x1="{x(i)}" y1="{y(path.levels[i])}" '
-            f'x2="{x(i + 1)}" y2="{y(path.levels[i + 1])}" '
+            f'<line x1="{x(i)}" y1="{y(levels[i])}" '
+            f'x2="{x(i + 1)}" y2="{y(levels[i + 1])}" '
             f'stroke="{_RED if step == "R" else _BLACK}" stroke-width="2" '
             f'stroke-linecap="round"/>'
         )

@@ -10,7 +10,6 @@ from skewdyck.asymptotics import (
     coefficient_ratio,
     convergence_report,
     dominant_singularity_numeric,
-    estimate,
     log_estimate,
 )
 from skewdyck.holonomic import extend
@@ -40,18 +39,19 @@ class TestConstants:
 
 class TestEstimate:
     def test_formula_at_n1(self):
-        assert estimate(1) == pytest.approx(AMPLITUDE * GROWTH, rel=1e-12)
+        assert math.exp(log_estimate(1)) == pytest.approx(AMPLITUDE * GROWTH, rel=1e-12)
 
     def test_log_space_consistency(self):
         for n in (5, 50, 400):
-            assert math.log(estimate(n)) == pytest.approx(log_estimate(n), abs=1e-9)
+            direct = AMPLITUDE * GROWTH**n * n**-1.5
+            assert math.exp(log_estimate(n)) == pytest.approx(direct, rel=1e-9)
 
     def test_no_overflow_in_log_space(self):
         assert math.isfinite(log_estimate(100000))
 
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
-            estimate(0)
+            log_estimate(0)
 
 
 class TestRatios:
@@ -82,7 +82,7 @@ class TestReport:
         rows = convergence_report([50, 100], coeffs)
         assert [r[0] for r in rows] == [50, 100]
         assert rows[0][1] == coeffs[50]
-        assert rows[0][2] == pytest.approx(estimate(50))
+        assert rows[0][2] == pytest.approx(math.exp(log_estimate(50)))
         assert rows[0][3] == pytest.approx(coefficient_ratio(50, coeffs))
 
     def test_overflowed_estimate_reported_as_none(self, coeffs):

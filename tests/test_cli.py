@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from skewdyck import asymptotics, automaton, cubics, golden, holonomic, kernel, paths
 from skewdyck.cli import (
     ASYMPT_CAP,
+    ASYMPT_NS_CAP,
     BIVARIATE_CAP,
     COUNT_CAP,
     LEVELS_CAP,
@@ -351,6 +352,17 @@ class TestAsympt:
     def test_cap_admitted(self):
         assert ASYMPT_CAP >= 13100
 
+    def test_one_n_past_the_count_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(holonomic, "extend", None)  # any work would raise a TypeError
+        with pytest.raises(SystemExit) as exc:
+            run(["asympt", *["--n", "5"] * (ASYMPT_NS_CAP + 1)])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            "usage: skewdyck asympt [-h] [--n N] [--format {json,text,tsv}]",
+            f"skewdyck asympt: error: argument --n: at most {ASYMPT_NS_CAP} values",
+        ]
+
 
 class TestRender:
     def test_stdout_svg(self, capout):
@@ -431,6 +443,7 @@ class TestFlagErrors:
         ["render", "U" * (RENDER_CAP + 1)],
         ["render", "UR" * RENDER_CAP],
         ["render", "UD", "--format", "json"],
+        ["asympt", *["--n", "5"] * (ASYMPT_NS_CAP + 1)],
     ],
 )
 def test_out_of_range_sizes_exit_2(argv, capsys):
@@ -452,6 +465,7 @@ AT_CAP = {
     "count-level": ["count", "4", str(COUNT_CAP)],
     "verify-order": ["verify", "--order", str(ORACLE_CAP)],
     "asympt-n": ["asympt", "--n", str(ASYMPT_CAP)],
+    "asympt-n-count": ["asympt", *["--n", str(ASYMPT_CAP)] * ASYMPT_NS_CAP],
     "render-unit-px": ["render", "UD", "--unit-px", str(UNIT_PX_CAP)],
     "t-eval-digits": ["count", "4", "0", "--t-eval", "9" * T_EVAL_DIGITS + "/7"],
     "render-word": ["render", "U" * RENDER_CAP],

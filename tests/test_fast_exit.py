@@ -75,7 +75,7 @@ def test_render_writes_the_whole_file(tmp_path):
     out = tmp_path / "path.svg"
     proc = _skewdyck("render", word, "-o", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-    assert out.read_text(encoding="utf-8") == paths.render_svg(paths.SkewPath(word), 24)
+    assert out.read_text(encoding="utf-8") == paths.render_svg(word, 24)
 
 
 def test_profiler_still_writes_its_stats():

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from skewdyck.paths import (
     ORACLE_CAP,
     CapExceeded,
-    SkewPath,
     enumerate_paths,
     parse_word,
     render_svg,
@@ -57,8 +56,7 @@ class TestValidate:
 
     def test_valid_path(self):
         assert validate("UUDR") is None
-        path = SkewPath("UUDR")
-        assert path.levels[-1] == 0
+        assert parse_word("UUDR") == "UUDR"
 
     def test_red_up_factor(self):
         violation = validate("UUDRU")
@@ -164,9 +162,12 @@ class TestUdrProfile:
 
 
 class TestSkewPath:
+    """A path is its word: parse_word is the one gate from typed text to a
+    valid word."""
+
     def test_invalid_word_rejected(self):
         with pytest.raises(ValueError, match="UpRed"):
-            SkewPath("UR")
+            parse_word("UR")
 
     def test_parse_word_aliases_left(self):
         assert parse_word("UUDL") == "UUDR"
@@ -177,7 +178,11 @@ class TestSkewPath:
             parse_word("UDx")
 
     def test_levels(self):
-        assert SkewPath("UUDR").levels == (0, 1, 2, 1, 0)
+        # At unit 1 the margin is 1 and the top level 2, so level k is
+        # drawn at y = 3 - k; the dashed axis is no step segment.
+        svg = render_svg("UUDR", 1)
+        ys = re.findall(r'y1="(\d+)" x2="\d+" y2="(\d+)" stroke="#[0-9a-f]{6}" stroke-width="2"', svg)
+        assert [(3 - int(a), 3 - int(b)) for a, b in ys] == [(0, 1), (1, 2), (2, 1), (1, 0)]
 
     @pytest.mark.parametrize(
         "word,violation",
@@ -186,29 +191,39 @@ class TestSkewPath:
     def test_unknown_letter_is_a_violation(self, word, violation):
         # validate reads the word as given: L is read as R only by parse_word
         assert validate(word) == violation
-        index, rule = violation
-        with pytest.raises(ValueError, match=f"^invalid word: {rule} at index {index}$"):
-            SkewPath(word)
+
+    @given(st.text(alphabet="UDRLudrl ", max_size=14))
+    def test_parse_word_is_the_gate(self, text):
+        word = text.strip().upper().replace("L", "R")
+        if set(word) <= set("UDR") and independent_check(word):
+            assert parse_word(text) == word
+            assert len(re.findall(r'stroke-width="2"', render_svg(word, 1))) == len(word)
+        else:
+            with pytest.raises(ValueError):
+                parse_word(text)
+
+    def test_invalid_word_message(self):
+        with pytest.raises(ValueError, match="^invalid word: BelowAxis at index 2$"):
+            parse_word("udd")
 
 
 class TestRenderSvg:
     def test_empty_path(self):
-        svg = render_svg(SkewPath(""), 24)
+        svg = render_svg("", 24)
         assert svg.startswith("<?xml")
         assert 'width="48"' in svg
 
     def test_two_segments_second_black(self):
-        svg = render_svg(SkewPath("UD"), 24)
+        svg = render_svg("UD", 24)
         strokes = re.findall(r'stroke="([^"]+)"', svg)
         # axis + 2 segments
         assert len(strokes) == 3
         assert strokes[2] == "#000000"
 
     def test_red_stroke_on_fourth_segment(self):
-        svg = render_svg(SkewPath("UUDR"), 24)
+        svg = render_svg("UUDR", 24)
         strokes = re.findall(r'stroke="([^"]+)"', svg)
         assert strokes[1:] == ["#000000"] * 3 + ["#cc0022"]
 
     def test_deterministic(self):
-        p = SkewPath("UUDR")
-        assert render_svg(p, 24) == render_svg(p, 24)
+        assert render_svg("UUDR", 24) == render_svg("UUDR", 24)

@@ -34,7 +34,6 @@ PUBLIC = {
     "GFMode": "kernel",
     "QQ": "rings",
     "QT": "rings",
-    "SkewPath": "paths",
     "TPoly": "rings",
     "ZSeries": "series",
     "avoidance_series": "cubics",
