@@ -96,7 +96,7 @@ def _parse_t_eval(value: str):
     from fractions import Fraction
 
     try:
-        if "e" in value.lower():  # an exponent would make the value unbounded
+        if "e" in value.lower() or "_" in value:  # an exponent is unbounded; "_" parses from 3.11 on
             raise ValueError
         t = Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -208,7 +208,7 @@ def cmd_asympt(args) -> int:
     from . import asymptotics, holonomic
 
     ns = args.n or asymptotics.SAMPLE_NS
-    coeffs = holonomic.extend(holonomic.INITIAL, max(max(ns), 3))
+    coeffs = holonomic.extend(holonomic.INITIAL, max(ns))
     rows = asymptotics.convergence_report(ns, coeffs)
     # s_n passes CPython's 4300-digit int-to-str limit at n = 6499; --n is
     # capped at ASYMPT_CAP, so lifting the limit here stays bounded.

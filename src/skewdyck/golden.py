@@ -14,7 +14,7 @@ def a128729_terms() -> list[int]:
     # OEIS A128729: skew Dyck paths of semilength n with no up-down-left
     # factor (left steps encoded as red down-steps, so the factor is up,
     # down, red-down).  Terms 0..8 are the published series display; the
-    # tail is generated by the 4th-order recurrence and cross-checked
+    # tail is the ODE's recurrence run from s_0 = 1 alone, cross-checked
     # in-repo against the algebraic equation and the layered automaton.
     return [
         1, 1, 2, 6, 20, 71, 262, 994, 3852, 15183,

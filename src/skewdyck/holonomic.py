@@ -3,25 +3,24 @@
 S(z), the generating function of s_n (OEIS A128729), satisfies the ODE
 A0 + A1 S + B1 S' + B2 S'' = 0.  Its four polynomials, `ODE`, are the one
 transcription here, checked against the avoidance cubic's root rather
-than derived from it; the rest is read off them, and `INITIAL` off the
-A128729 literal in `golden`.  A term c z^i S^(k) puts c (m)_k s_m, a
-falling factorial, into the z^n row, m = n - i + k.
-Each row n >= 3 relates s_{n-3}..s_{n+1}: a 4th-order recurrence that
-`extend` applies by exact division, so a wrong initial term or ODE
+than derived from it; the rest is read off them.  A term c z^i S^(k) puts
+c (m)_k s_m, a falling factorial, into the z^n row, m = n - i + k.
+Each row n relates s_{n-3}..s_{n+1}, with s_m = 0 for m < 0: a 4th-order
+recurrence that `extend` applies by exact division from row 0 on, so
+s_0 = 1, `INITIAL`, is its only seed, and a wrong initial term or ODE
 coefficient fails a division.  `ode_residual` evaluates the same rows.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
-
-from . import golden
 
 # A0 = 31z - 8, A1 = -15z, B1 = -(2z - 1)(44z^3 + 15z^2 - 48z + 8) and
 # B2 = -z(11z^2 + 16z - 4)(2z - 1)^2, as coefficients of z^0, z^1, ...
 ODE = ((-8, 31), (0, -15), (8, -64, 111, 14, -88), (0, 4, -32, 69, -20, -44))
 RECURRENCE_ORDER = 4
-INITIAL = tuple(golden.a128729_terms()[:RECURRENCE_ORDER])  # s_0..s_3
+INITIAL = (1,)  # s_0: the empty path
 
 
 class NonIntegralStep(Exception):
@@ -60,23 +59,24 @@ def step_polynomials() -> list[tuple[int, int, int]]:
 
 
 def extend(initial: Sequence[int], n_max: int) -> list[int]:
-    """Terms s_0..s_{n_max} from four initial terms.  Each step divides
-    exactly by p_4(n) = 4 (n + 4)(n + 5) > 0; a nonzero remainder raises
-    NonIntegralStep, which is how wrong initial terms announce themselves."""
-    if len(initial) != RECURRENCE_ORDER:
-        raise ValueError("exactly four initial terms required")
-    if n_max < RECURRENCE_ORDER - 1:
-        raise ValueError("n_max must be at least 3")
+    """Terms s_0..s_{n_max} continuing the nonempty prefix `initial`.  Row n + 3
+    gives s_{n+4} by exact division by p_4(n) = 4 (n + 4)(n + 5) > 0; a nonzero
+    remainder raises NonIntegralStep, which is how wrong initial terms announce themselves."""
+    s = [0, 0, 0, *map(operator.index, initial)]  # s_{-3}, s_{-2}, s_{-1}, s_0, ...
+    if len(s) == 3:
+        raise ValueError("at least one initial term required")
     (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = step_polynomials()
-    s = [int(x) for x in initial]
-    for n in range(n_max - RECURRENCE_ORDER + 1):
-        num = (a0 + (b0 + c0 * n) * n) * s[n] + (a1 + (b1 + c1 * n) * n) * s[n + 1]
-        num += (a2 + (b2 + c2 * n) * n) * s[n + 2] + (a3 + (b3 + c3 * n) * n) * s[n + 3]
+    inhomogeneous, rows = ODE[0], len(ODE[0]) - 3  # A0 reaches rows 0 and 1
+    for n in range(len(s) - 7, n_max - 3):
+        num = (a0 + (b0 + c0 * n) * n) * s[n + 3] + (a1 + (b1 + c1 * n) * n) * s[n + 4]
+        num += (a2 + (b2 + c2 * n) * n) * s[n + 5] + (a3 + (b3 + c3 * n) * n) * s[n + 6]
+        if n < rows:
+            num += inhomogeneous[n + 3]
         q, r = divmod(-num, a4 + (b4 + c4 * n) * n)
         if r != 0:
             raise NonIntegralStep(n, r)
         s.append(q)
-    return s
+    return s[3 : n_max + 4]
 
 
 def ode_residual(s):

@@ -1,8 +1,15 @@
-"""Fixtures shared by every test module."""
+"""Fixtures shared by every test module, and the environment of the fresh
+interpreters that some of them start."""
+
+import os
+from pathlib import Path
 
 import pytest
 
 from skewdyck import series
+
+# A fresh interpreter imports skewdyck from this checkout's src.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 @pytest.fixture(autouse=True)

@@ -4,9 +4,9 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import SRC_ENV
 from hypothesis import given, settings, strategies as st
 
 from skewdyck import asymptotics, automaton, cubics, golden, holonomic, kernel, paths
@@ -404,6 +404,16 @@ class TestFlagErrors:
             run(["count", "4", "0", "--t-eval", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["1_000", "1/1_0", "0.5_0"])
+    def test_t_eval_with_an_underscore_exits_2(self, value, capsys):
+        # Fraction reads "1_000" from Python 3.11 on only; every version rejects it.
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "4", "0", "--t-eval", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --t-eval: --t-eval must be track, zero, one, or a rational, not {value!r}\n"
+        )
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
@@ -524,10 +534,9 @@ def test_closed_pipe_ends_quietly_with_exit_0(argv):
     here before the first write, so the outcome does not depend on timing."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "skewdyck", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+            [sys.executable, "-m", "skewdyck", *argv], stdout=write_end, stderr=subprocess.PIPE, env=SRC_ENV, timeout=60
         )
     finally:
         os.close(write_end)

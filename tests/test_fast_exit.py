@@ -11,16 +11,15 @@ import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import SRC_ENV
 
 from skewdyck import cli, paths
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 # Buffered output, as a pipe or file gets by default: whatever main left
 # unflushed would be lost.
-ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(SRC)}
+ENV = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
 def _python(*args):

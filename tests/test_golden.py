@@ -1,30 +1,29 @@
 """The vendored golden values hold each published term once.
 
-The kernel-root display and the recurrence's initial terms are read off
-the A128729 literal, so a change to that literal must show in every
-check that reads it.
+The kernel-root display is read off the A128729 literal, so a change to
+that literal must show in every check that reads it.  The recurrence
+reads none of it: it starts from s_0 = 1 and row 0 of the ODE.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
+
+from conftest import SRC_ENV
 
 from skewdyck import golden, holonomic, verify
 
 
-def test_recurrence_starts_from_a128729():
-    assert holonomic.INITIAL == (1, 1, 2, 6)
+def test_recurrence_reads_no_golden_term():
+    assert holonomic.extend(holonomic.INITIAL, 19) == golden.a128729_terms()
     # In a fresh interpreter, so that holonomic is imported after the patch.
     code = (
         "from skewdyck import golden\n"
         "golden.a128729_terms = lambda: [5, 7, 11, 13, 17]\n"
         "from skewdyck import holonomic\n"
-        "print(holonomic.INITIAL)"
+        "print(holonomic.INITIAL, holonomic.extend(holonomic.INITIAL, 19))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(5, 7, 11, 13)\n", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"(1,) {golden.a128729_terms()}\n", "")
 
 
 def test_a_wrong_term_fails_both_checks_that_read_it(monkeypatch):

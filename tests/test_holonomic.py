@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from skewdyck import holonomic
@@ -61,9 +63,29 @@ class TestExtend:
             good = avoidance_series(21).integer_coefficients()
             assert bad != good
 
-    def test_requires_four_initials(self):
-        with pytest.raises(ValueError):
-            extend([1, 1, 2], 8)
+    def test_wrong_fourth_term_names_its_step(self):
+        with pytest.raises(NonIntegralStep) as info:
+            extend([1, 1, 2, 7], 20)
+        assert (str(info.value), info.value.n) == ("recurrence step at n=0 is not integral (remainder 64)", 0)
+
+    def test_requires_an_initial_term(self):
+        with pytest.raises(ValueError, match="at least one initial term"):
+            extend([], 8)
+
+    @pytest.mark.parametrize("term", [6.9, Fraction(13, 2), "6"], ids=["float", "fraction", "str"])
+    def test_a_non_integer_term_raises_type_error(self, term):
+        # Truncation would turn 6.9 and 13/2 into the true s_3 = 6.
+        with pytest.raises(TypeError):
+            extend([1, 1, 2, term], 6)
+
+    def test_s0_alone_gives_the_four_term_continuation(self):
+        assert holonomic.INITIAL == (1,)
+        for n in (0, 1, 2, 3, 4, 600):
+            assert extend((1,), n) == extend(INITIAL, n)
+        assert len(extend((1,), 600)) == 601
+
+    def test_a_longer_prefix_is_continued(self):
+        assert extend([1, 1, 2, 6, 20, 71], 30) == extend((1,), 30)
 
 
 class TestRecurrenceResidual:
@@ -121,6 +143,14 @@ class TestReadOffTheOde:
         self._changed(monkeypatch, 0, 1)
         assert ode_residual(avoidance_series(30)).coeffs[:2] == (0, 1)
         assert extend(INITIAL, 20) == avoidance_series(21).integer_coefficients()
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_from_s0_a_changed_inhomogeneous_term_fails_a_division(self, monkeypatch, i):
+        # A0 enters rows 0 and 1 only, which a four-term seed skips.
+        self._changed(monkeypatch, 0, i)
+        with pytest.raises(NonIntegralStep) as info:
+            extend(holonomic.INITIAL, 20)
+        assert info.value.n == i - 3
 
 
 class TestThreeWayAgreement:

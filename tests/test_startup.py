@@ -8,18 +8,14 @@ preloads cannot hide an import.
 """
 
 import importlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import SRC_ENV
 
 import skewdyck
 from skewdyck import paths
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 # Modules that no subcommand needs before it runs.
 HEAVY = {
@@ -51,7 +47,7 @@ PUBLIC = {
 
 def _python(code):
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -77,7 +73,7 @@ def test_cli_import_loads_neither_paths_nor_rings():
 def test_verify_cap_is_the_oracles():
     proc = subprocess.run(
         [sys.executable, "-S", "-m", "skewdyck", "verify", "--order", "25"],
-        env=ENV,
+        env=SRC_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -112,6 +108,13 @@ def test_asympt_loads_no_series_or_cubic():
     proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
     assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
     assert not loaded & {"skewdyck.series", "skewdyck.cubics"}
+
+
+def test_asympt_loads_no_golden():
+    # The recurrence starts from s_0 = 1, not from the vendored terms.
+    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
+    assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
+    assert "skewdyck.golden" not in loaded
 
 
 def test_asympt_loads_no_ring():

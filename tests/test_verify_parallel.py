@@ -11,11 +11,10 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import SRC_ENV
 
 from skewdyck import paths, verify
 from skewdyck.paths import udr_profile
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -162,8 +161,7 @@ def test_child_flushes_nothing_and_runs_no_exit_handler():
         "sys.stdout.write('buffered\\n')\n"
         "print(sum(r.ok for r in verify.run_all(6)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "buffered\n12\nexit\n"
 
@@ -187,8 +185,7 @@ def test_no_module_loads_in_both_processes(below):
         "os.fork, verify._run = noting, reporting\n"
         f"verify.run_all(verify.SPLIT_DEPTH - {int(below)})\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     first, second = (set(ast.literal_eval(line)) for line in proc.stdout.splitlines())
     assert not first & second
