@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands: count, series, bivariate, levels, verify, asympt, render.
-Output is byte-stable for fixed flags; JSON payloads follow the schema
-{"sequence": [...cell strings...], "variable": "z"|"z(half)",
-"t_mode": <track|zero|one|rational>}.  Exit codes: 0 success, 1 failed
-verification, 2 flag errors (every size has an upper cap below) and
-output that cannot be written (stdout closed, a full disk, a bad
-`render -o` path), with one stderr line.  A reader that closes the pipe
-early, as `skewdyck bivariate --order 200 | head -1` does, is no error:
-the command ends quietly with exit 0.
+Output is byte-stable for fixed flags.  JSON payloads: series, levels
+and bivariate print {"sequence": [...cell strings...], "variable":
+"z"|"z(half)", "t_mode": <track|zero|one|rational>} (a bivariate cell
+is a row, a list of strings); count {"count", "t_mode"}; verify a list
+of {"name", "ok", "detail"}; asympt a list of {"n", "exact" (a string),
+"estimate" (a float, or null past double range), "ratio"}.  Exit codes:
+0 success, 1 failed verification, 2 flag errors (every size has an
+upper cap below) and output that cannot be written (stdout closed, a
+full disk, a bad `render -o` path), with one stderr line.  A reader that
+closes the pipe early, as `skewdyck bivariate --order 200 | head -1`
+does, is no error: the command ends quietly with exit 0.
 
 The engine computes over Z and Z[t]; a rational --t-eval is applied
 only here, to the finished marker polynomials.  Each output cell is
@@ -47,7 +50,7 @@ ASYMPT_CAP = 20000  # largest --n; s_20000 has 13 245 digits
 ASYMPT_NS_CAP = 100  # --n values in one asympt request
 # Upper caps on the other sizes, chosen from timings: at most about 11 s
 # of work at any cap on a 2-core Xeon guest (README lists them).
-SERIES_CAP = 2000  # series --order
+SERIES_CAP = 2000  # series --order: bounds the output (1.32 MB), not the work (0.07 s)
 BIVARIATE_CAP = 250  # bivariate --order
 LEVELS_CAP = 300  # levels --order and the level
 COUNT_CAP = 600  # count length and level
@@ -144,17 +147,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
-    order = args.order
+    from . import holonomic
+
     if args.half_length:
-        from . import cubics
-
-        coeffs = cubics.avoidance_series(order).integer_coefficients()
-        _emit_sequence(args, coeffs, "z(half)", "zero")
-    else:
-        from . import kernel
-
-        gf = kernel.level_gf(0, order, kernel.GFMode.UNIVARIATE)
-        _emit_sequence(args, gf.integer_coefficients(), "z", "zero")
+        coeffs = holonomic.extend(holonomic.INITIAL, args.order - 1)
+    else:  # s_n counts the paths of length 2n, so it sits at z^(2n)
+        coeffs = [0] * args.order
+        coeffs[::2] = holonomic.extend(holonomic.INITIAL, (args.order - 1) // 2)
+    _emit_sequence(args, coeffs, "z(half)" if args.half_length else "z", "zero")
     return 0
 
 

@@ -63,6 +63,28 @@ class TestSeries:
         _, out2, _ = capout("series", "--order", "12", "--half-length")
         assert out1 == out2
 
+    # `series` runs the recurrence; these compare it with the Newton root
+    # and the kernel root, the two engines it replaced.
+    @pytest.mark.parametrize("n", [1, 2, 9, 300, 301])
+    def test_half_length_is_the_newton_root(self, capout, n):
+        _, out, _ = capout("series", "--order", str(n), "--half-length")
+        assert out.split() == [str(c) for c in cubics.avoidance_series(n).integer_coefficients()]
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 300, 301])
+    def test_full_length_is_the_kernel_level_0_series(self, capout, n):
+        _, out, _ = capout("series", "--order", str(n))
+        gf = kernel.level_gf(0, n, kernel.GFMode.UNIVARIATE)
+        assert out.split() == [str(c) for c in gf.integer_coefficients()]
+
+    def test_at_the_cap(self, capout):
+        _, half, _ = capout("series", "--order", str(SERIES_CAP), "--half-length")
+        _, full, _ = capout("series", "--order", str(SERIES_CAP))
+        half, full = half.split(), full.split()
+        assert len(half) == len(full) == SERIES_CAP
+        assert full[::2] == half[: SERIES_CAP // 2]
+        assert set(full[1::2]) == {"0"}
+        assert half[:301] == [str(c) for c in cubics.avoidance_series(301).integer_coefficients()]
+
 
 class TestBivariate:
     def test_rows(self, capout):
@@ -484,8 +506,8 @@ AT_CAP = {
 
 @pytest.mark.parametrize("argv", AT_CAP.values(), ids=AT_CAP.keys())
 def test_size_at_cap_passes_validation(argv):
-    """Parsing only: the work at a cap takes seconds.  Each cap + 1 is in
-    test_out_of_range_sizes_exit_2."""
+    """Parsing only: the work at most caps takes seconds (TestSeries runs
+    series at its cap).  Each cap + 1 is in test_out_of_range_sizes_exit_2."""
     assert build_parser().parse_args(argv).fn is not None
 
 

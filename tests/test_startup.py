@@ -91,11 +91,17 @@ def test_package_import_loads_no_submodule():
     assert not [m for m in loaded if m.startswith("skewdyck.")]
 
 
-def test_half_length_series_loads_only_its_route():
-    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['series', '--order', '9', '--half-length'])")
-    assert proc.stdout == "1 1 2 6 20 71 262 994 3852\n"
-    assert "skewdyck.cubics" in loaded
-    assert not loaded & {"skewdyck.kernel", "skewdyck.automaton", "skewdyck.verify"}
+@pytest.mark.parametrize(
+    "flags, stdout",
+    [(["--half-length"], "1 1 2 6 20 71 262 994 3852\n"), ([], "1 0 1 0 2 0 6 0 20\n")],
+    ids=["half-length", "full"],
+)
+def test_series_loads_only_the_recurrence(flags, stdout):
+    proc, loaded = _modules_after(f"from skewdyck import cli\ncli.run(['series', '--order', '9', *{flags!r}])")
+    assert proc.stdout == stdout
+    assert "skewdyck.holonomic" in loaded
+    others = ("rings", "series", "cubics", "kernel", "golden", "automaton", "verify")
+    assert not loaded & {f"skewdyck.{m}" for m in others}
 
 
 def test_count_loads_no_series():
@@ -104,23 +110,11 @@ def test_count_loads_no_series():
     assert "skewdyck.series" not in loaded
 
 
-def test_asympt_loads_no_series_or_cubic():
+def test_asympt_loads_no_series_cubic_golden_or_ring():
+    # The recurrence runs over ints from s_0 = 1, not from the vendored terms.
     proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
     assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
-    assert not loaded & {"skewdyck.series", "skewdyck.cubics"}
-
-
-def test_asympt_loads_no_golden():
-    # The recurrence starts from s_0 = 1, not from the vendored terms.
-    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
-    assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
-    assert "skewdyck.golden" not in loaded
-
-
-def test_asympt_loads_no_ring():
-    proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
-    assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
-    assert "skewdyck.rings" not in loaded
+    assert not loaded & {"skewdyck.series", "skewdyck.cubics", "skewdyck.golden", "skewdyck.rings"}
 
 
 def test_verify_loads_no_dataclasses_or_resource_reader():
