@@ -110,11 +110,25 @@ def test_count_loads_no_series():
     assert "skewdyck.series" not in loaded
 
 
-def test_asympt_loads_no_series_cubic_golden_or_ring():
-    # The recurrence runs over ints from s_0 = 1, not from the vendored terms.
+@pytest.fixture(scope="module")
+def asympt_loaded():
+    """The modules that one `asympt --n 50` run loads, shared by the asympt guards."""
     proc, loaded = _modules_after("from skewdyck import cli\ncli.run(['asympt', '--n', '50'])")
     assert proc.stdout.startswith("n  exact  estimate  ratio\n50  ")
-    assert not loaded & {"skewdyck.series", "skewdyck.cubics", "skewdyck.golden", "skewdyck.rings"}
+    return loaded
+
+
+def test_asympt_loads_no_series_or_cubic(asympt_loaded):
+    assert not asympt_loaded & {"skewdyck.series", "skewdyck.cubics"}
+
+
+def test_asympt_loads_no_golden(asympt_loaded):
+    # The recurrence starts from s_0 = 1, not from the vendored terms.
+    assert "skewdyck.golden" not in asympt_loaded
+
+
+def test_asympt_loads_no_ring(asympt_loaded):
+    assert "skewdyck.rings" not in asympt_loaded
 
 
 def test_verify_loads_no_dataclasses_or_resource_reader():
