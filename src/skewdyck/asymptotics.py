@@ -23,8 +23,7 @@ class MissingCoefficient(Exception):
 
 
 SQRT3 = math.sqrt(3.0)
-Z0 = (2.0 / 11.0) * (3.0 * SQRT3 - 4.0)
-GROWTH = 2.0 + 1.5 * SQRT3  # 1 / Z0
+GROWTH = 2.0 + 1.5 * SQRT3  # 1 / z0; 1 / ((2/11)(3 sqrt 3 - 4)) rounds one ulp lower
 AMPLITUDE = math.sqrt(2.0 + 8.0 * SQRT3 / 9.0) / (2.0 * math.sqrt(math.pi))
 # Half-lengths that `asympt` reports by default and `verify` samples.
 SAMPLE_NS = (50, 100, 200, 400, 800, 1600)
@@ -32,8 +31,8 @@ SAMPLE_NS = (50, 100, 200, 400, 800, 1600)
 
 def dominant_singularity_numeric() -> float:
     """z0 by bisection on [0.1, 0.3], re-derived from the avoidance cubic
-    (cubics.avoidance_cubic, the one the series solver uses) to check
-    the closed form Z0: the S-derivative of the cubic vanishes along
+    (cubics.avoidance_cubic, the one the series solver uses) to check the
+    estimates' 1 / GROWTH: the S-derivative of the cubic vanishes along
     S = (z + 1)/(3 z), and z0 is where the cubic itself vanishes there."""
     from . import cubics  # imported here: asympt never solves a cubic
 

@@ -1,14 +1,15 @@
 """Holonomic description of the half-length avoidance sequence.
 
 S(z), the generating function of s_n (OEIS A128729), satisfies the ODE
-A0 + A1 S + B1 S' + B2 S'' = 0.  Its four polynomials, `ODE`, are the one
-transcription here, checked against the avoidance cubic's root rather
-than derived from it; the rest is read off them.  A term c z^i S^(k) puts
-c (m)_k s_m, a falling factorial, into the z^n row, m = n - i + k.
-Each row n relates s_{n-3}..s_{n+1}, with s_m = 0 for m < 0: a 4th-order
-recurrence that `extend` applies by exact division from row 0 on, so
-s_0 = 1, `INITIAL`, is its only seed, and a wrong initial term or ODE
-coefficient fails a division.  `ode_residual` evaluates the same rows.
+A0 + A1 S + B1 S' + B2 S'' = 0.  Its four polynomials, `ODE`, are the
+one transcription here, checked against the avoidance cubic's and the
+kernel's roots rather than derived; the rest is read off them.  A term
+c z^i S^(k) puts c (m)_k s_m, a falling factorial, into the z^n row,
+m = n - i + k.  Each row n relates s_{n-3}..s_{n+1}, with s_m = 0 for
+m < 0: a 4th-order recurrence that `extend`, the one evaluator of the
+rows, applies by exact division from row 0 on, so s_0 = 1, `INITIAL`,
+is its only seed, and a wrong initial term or ODE coefficient fails a
+division.
 """
 
 from __future__ import annotations
@@ -78,14 +79,3 @@ def extend(initial: Sequence[int], n_max: int) -> list[int]:
         s.append(q)
     return s[3 : n_max + 4]
 
-
-def ode_residual(s):
-    """A0 + A1 S + B1 S' + B2 S'' for a ZSeries S, known mod z^(order - 2)."""
-    from .series import ZSeries  # imported here: asympt builds no series
-
-    if s.order < 5:
-        raise ValueError("series order must be at least 5")
-    rows = [sum(c * s.coeffs[m] for m, c in _row(n).items() if m >= 0) for n in range(s.order - 2)]
-    for n, c in enumerate(ODE[0]):
-        rows[n] += c
-    return ZSeries(rows, s.order - 2, s.ring)

@@ -13,11 +13,11 @@ Each check compares two sources and returns a pass/fail record; the CLI
     half-length-collapse  kernel level 0 at z^2 -> Z vs both cubics' roots
     transformed-cubic     kernel level 0 at z^2 -> Z vs the avoidance cubic
     recurrence-vs-solver  ODE's rows as a recurrence vs avoidance cubic's root
-    ode-residual          ODE's rows on the avoidance cubic's root (same pair)
+    ode-residual          ODE's recurrence vs kernel level 0 at z^2 -> Z
     boundary-identity     boundary constants vs level 0: one kernel root,
                           two formulas
-    asymptotics           closed-form z0 vs bisection on the avoidance
-                          cubic; recurrence terms vs the estimate
+    asymptotics           1/GROWTH vs bisection on the avoidance cubic;
+                          recurrence terms vs the estimate
 
 `run_all` takes one of two paths, with the same results in the same
 order.  When the process can fork, no other thread is alive and it can
@@ -30,16 +30,17 @@ The share depends on the oracle depth alone (`child_checks`), so a job
 runs the same checks in the same process every time.  From SPLIT_DEPTH
 on the child runs only `dp-vs-oracle`, whose walk grows about 2x per
 order and alone outlasts the other eleven checks.  Below it the walk is
-short and the child also runs the four avoidance-route checks:
-`series-vs-golden`, `recurrence-vs-solver` and `ode-residual`, which
-share the avoidance cubic's order-201 root, and `asymptotics`.  SPLIT_DEPTH
-records where the two placements cross.
+short and the child also runs three avoidance-route checks:
+`series-vs-golden` and `recurrence-vs-solver`, which share the avoidance
+cubic's order-201 root, and `asymptotics`; `ode-residual` reads the
+kernel root, which stays here.
 
 The solver modules are imported by the checks that use them, so that
 they load after the fork: on the oracle-only path the child imports
 none of them and this process compiles them while the child walks.
 When the child runs the avoidance checks as well, `cubics` (with
-`series`) and `golden`, which both sides use, load once before the fork.
+`series`), `golden` and `holonomic`, which both sides use, load once
+before the fork.
 """
 
 from __future__ import annotations
@@ -177,18 +178,26 @@ def check_transformed_cubic() -> CheckResult:
 def check_recurrence() -> CheckResult:
     from . import cubics, holonomic
 
-    seq = holonomic.extend(holonomic.INITIAL, 200)
+    try:
+        seq = holonomic.extend(holonomic.INITIAL, 200)
+    except (holonomic.NonIntegralStep, ValueError) as e:  # a mistranscribed ODE
+        return CheckResult("recurrence-vs-solver", False, str(e))
     solver = cubics.avoidance_series(len(seq)).integer_coefficients()
     diff = _first_difference(seq, solver, "recurrence", "solver")
     return CheckResult("recurrence-vs-solver", not diff, diff or f"agreement to n={len(seq) - 1}")
 
 
 def check_ode() -> CheckResult:
-    from . import cubics, holonomic
+    from . import holonomic, kernel
 
-    residual = holonomic.ode_residual(cubics.avoidance_series(30))
-    diff = _residual(residual, "z")
-    return CheckResult("ode-residual", not diff, diff or f"zero mod z^{residual.order}")
+    lvl0 = kernel.level_gf(0, 57, kernel.GFMode.UNIVARIATE).compress_even()
+    # Row n of the ODE fixes s_{n+1}, so equal terms to s_m are a residual zero mod z^m.
+    try:
+        seq = holonomic.extend(holonomic.INITIAL, lvl0.order - 1)
+    except (holonomic.NonIntegralStep, ValueError) as e:
+        return CheckResult("ode-residual", False, str(e))
+    diff = _first_difference(seq, lvl0.coeffs, "recurrence", "kernel")
+    return CheckResult("ode-residual", not diff, diff or f"zero mod z^{lvl0.order - 1}")
 
 
 def check_boundary_identity() -> CheckResult:
@@ -207,11 +216,14 @@ def check_boundary_identity() -> CheckResult:
 def check_asymptotics() -> CheckResult:
     from . import asymptotics, holonomic
 
-    z0 = asymptotics.Z0
+    z0 = 1 / asymptotics.GROWTH
     numeric = asymptotics.dominant_singularity_numeric()
     if abs(numeric - z0) > 1e-12:
-        return CheckResult("asymptotics", False, f"numeric z0 {numeric!r} disagrees with closed form {z0!r}")
-    coeffs = holonomic.extend(holonomic.INITIAL, max(asymptotics.SAMPLE_NS))
+        return CheckResult("asymptotics", False, f"numeric z0 {numeric!r} disagrees with 1/GROWTH {z0!r}")
+    try:
+        coeffs = holonomic.extend(holonomic.INITIAL, max(asymptotics.SAMPLE_NS))
+    except (holonomic.NonIntegralStep, ValueError) as e:
+        return CheckResult("asymptotics", False, str(e))
     ratio_1000 = asymptotics.coefficient_ratio(1000, coeffs)
     if not 0.99 <= ratio_1000 <= 1.01:
         return CheckResult("asymptotics", False, f"ratio at n=1000 is {ratio_1000} outside [0.99, 1.01]")
@@ -237,11 +249,9 @@ CHECKS = [
 ]
 
 
-# The oracle depth from which the child runs the oracle alone.  Below it
-# the walk is short, and the child also runs the avoidance-route checks,
-# so that each side of a job takes about as long; from it on the walk
-# alone outlasts the parent's share.  Measured on a 2-core Xeon guest
-# (Python 3.11, paired medians of 41 interleaved rounds of fresh
+# The oracle depth from which the child runs the oracle alone: where the
+# walk starts to outlast the parent's share.  Measured on a 2-core Xeon
+# guest (Python 3.11, paired medians of 41 interleaved rounds of fresh
 # `verify --order D` processes): the split saved 12 ms of a 130 ms job at
 # D = 15, was within 4 ms either way at 16, and cost 22 ms at 17.
 SPLIT_DEPTH = 17
@@ -252,7 +262,7 @@ def child_checks(depth: int) -> list:
     `depth`, a choice that depends on nothing else (see SPLIT_DEPTH)."""
     if depth >= SPLIT_DEPTH:
         return [check_dp_vs_oracle]
-    return [check_dp_vs_oracle, check_series_vs_golden, check_recurrence, check_ode, check_asymptotics]
+    return [check_dp_vs_oracle, check_series_vs_golden, check_recurrence, check_asymptotics]
 
 
 def _can_fork() -> bool:
@@ -326,9 +336,9 @@ def run_all(oracle_depth: int) -> list[CheckResult]:
     split = child_checks(oracle_depth)
     theirs = [fn for fn in CHECKS if fn in split]
     if len(theirs) > 1:
-        # Both sides solve the cubics and read the golden values: load
-        # them once, here, rather than compile them in each process.
-        from . import cubics, golden  # noqa: F401
+        # Both sides solve the cubics, read the golden values and extend
+        # the recurrence: load them once, here, rather than in each process.
+        from . import cubics, golden, holonomic  # noqa: F401
     child = _fork_checks(theirs, oracle_depth, cpus)
     if child is None:
         return _run(CHECKS, oracle_depth)

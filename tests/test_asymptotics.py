@@ -5,7 +5,6 @@ import pytest
 from skewdyck.asymptotics import (
     AMPLITUDE,
     GROWTH,
-    Z0,
     MissingCoefficient,
     coefficient_ratio,
     convergence_report,
@@ -23,18 +22,18 @@ def coeffs():
 class TestConstants:
     def test_closed_forms(self):
         s3 = math.sqrt(3.0)
-        assert Z0 == pytest.approx((2 / 11) * (3 * s3 - 4), abs=1e-15)
-        assert Z0 == pytest.approx(0.2174822586739, abs=1e-12)
+        assert 1 / GROWTH == pytest.approx((2 / 11) * (3 * s3 - 4), abs=1e-15)
+        assert 1 / GROWTH == pytest.approx(0.2174822586739, abs=1e-12)
         assert GROWTH == pytest.approx(4.598076211353316, abs=1e-12)
         assert AMPLITUDE == pytest.approx(
             math.sqrt(2 + 8 * s3 / 9) / (2 * math.sqrt(math.pi)), abs=1e-15
         )
 
     def test_growth_times_z0_is_one(self):
-        assert abs(GROWTH * Z0 - 1.0) < 1e-14
+        assert abs(GROWTH * (2 / 11) * (3 * math.sqrt(3.0) - 4) - 1.0) < 1e-14
 
     def test_numeric_rederivation(self):
-        assert abs(dominant_singularity_numeric() - Z0) < 1e-12
+        assert abs(dominant_singularity_numeric() - 1 / GROWTH) < 1e-12
 
 
 class TestEstimate:

@@ -9,7 +9,7 @@ import pytest
 from conftest import SRC_ENV
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import asymptotics, automaton, cubics, golden, holonomic, kernel, paths
+from skewdyck import asymptotics, automaton, cubics, golden, holonomic, kernel, paths, verify
 from skewdyck.cli import (
     ASYMPT_CAP,
     ASYMPT_NS_CAP,
@@ -24,7 +24,7 @@ from skewdyck.cli import (
     run,
 )
 from skewdyck.paths import ORACLE_CAP
-from skewdyck.rings import QQ, QT, T, TPoly
+from skewdyck.rings import QT, T, TPoly
 from skewdyck.series import ZSeries
 
 
@@ -225,8 +225,31 @@ class TestVerify:
         assert code == 1
         lines = out.splitlines()
         assert lines[8] == "FAIL recurrence-vs-solver  (at n=4: recurrence 21 vs solver 20)"
-        assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != 8)
-        assert err == "1 check(s) failed\n"
+        assert lines[9] == "FAIL ode-residual  (at n=4: recurrence 21 vs kernel 20)"
+        assert all(line.startswith("PASS") for i, line in enumerate(lines) if i not in (8, 9))
+        assert err == "2 check(s) failed\n"
+
+    @pytest.mark.parametrize("path", ["forked", "serial"])
+    def test_mistranscribed_ode_fails_the_recurrence_checks(self, capout, monkeypatch, path):
+        ode = [list(poly) for poly in holonomic.ODE]
+        ode[2][1] += 1
+        monkeypatch.setattr(holonomic, "ODE", tuple(map(tuple, ode)))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(verify, "_other_cpus", lambda: os.sched_getaffinity(0) if path == "forked" else set())
+        code, out, err = capout("verify", "--order", "8")
+        assert code == 1
+        assert forks == ([1] if path == "forked" else [])
+        step = "(recurrence step at n=-2 is not integral (remainder 23))"
+        lines = out.splitlines()
+        assert [lines[i] for i in (8, 9, 11)] == [
+            f"FAIL recurrence-vs-solver  {step}",
+            f"FAIL ode-residual  {step}",
+            f"FAIL asymptotics  {step}",
+        ]
+        assert len(lines) == 12
+        assert all(line.startswith("PASS") for i, line in enumerate(lines) if i not in (8, 9, 11))
+        assert err == "3 check(s) failed\n"
 
     @staticmethod
     def _only_failure(capout, line_no, line):
@@ -295,10 +318,18 @@ class TestVerify:
         monkeypatch.setattr(kernel, "level_gf", off_at_z10)
         self._only_failure(capout, 7, "FAIL transformed-cubic  (at Z^5: residual 2)")
 
-    def test_wrong_ode_input_names_power_and_residual(self, capout, monkeypatch):
-        ode_residual = holonomic.ode_residual
-        monkeypatch.setattr(holonomic, "ode_residual", lambda s: ode_residual(s + ZSeries([0, 0, 0, 1], s.order, QQ)))
-        self._only_failure(capout, 9, "FAIL ode-residual  (at z^2: residual 48)")
+    def test_wrong_kernel_level_0_term_names_index_and_values(self, capout, monkeypatch):
+        level_gf = kernel.level_gf
+        # s_0, s_13 and s_28, the first, a middle and the last term the check reads
+        for n, want in [(0, 1), (13, 4129012), (28, 12091508185766912)]:
+
+            def off_at_z2n(k, order, mode):  # only the ODE check asks for order 57
+                gf = level_gf(k, order, mode)
+                return gf + ZSeries([0] * 2 * n + [3], order, gf.ring) if order == 57 else gf
+
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "level_gf", off_at_z2n)
+                self._only_failure(capout, 9, f"FAIL ode-residual  (at n={n}: recurrence {want} vs kernel {want + 3})")
 
     def test_wrong_boundary_constant_names_mode_power_and_values(self, capout, monkeypatch):
         boundary_constants = kernel.boundary_constants
@@ -315,11 +346,12 @@ class TestVerify:
         )
 
     def test_wrong_closed_form_z0_names_both_values(self, capout, monkeypatch):
-        z0 = asymptotics.Z0 * (1 + 1e-9)
-        monkeypatch.setattr(asymptotics, "Z0", z0)
-        numeric = asymptotics.dominant_singularity_numeric()
+        # The closed form of z0 is 1/GROWTH, the constant every estimate reads.
+        monkeypatch.setattr(asymptotics, "GROWTH", asymptotics.GROWTH * (1 + 1e-9))
         self._only_failure(
-            capout, 11, f"FAIL asymptotics  (numeric z0 {numeric!r} disagrees with closed form {z0!r})"
+            capout,
+            11,
+            "FAIL asymptotics  (numeric z0 0.21748225867393306 disagrees with 1/GROWTH 0.21748225845645078)",
         )
 
     def test_wrong_amplitude_names_ratio_and_window(self, capout, monkeypatch):

@@ -2,11 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from skewdyck import holonomic
+from skewdyck import holonomic, verify
 from skewdyck.cubics import avoidance_series
-from skewdyck.holonomic import NonIntegralStep, extend, ode_residual
-from skewdyck.rings import QQ
-from skewdyck.series import ZSeries
+from skewdyck.holonomic import NonIntegralStep, extend
 
 INITIAL = [1, 1, 2, 6]
 
@@ -124,25 +122,27 @@ class TestReadOffTheOde:
         "which, i", [(1, 0), (1, 1), *((2, i) for i in range(5)), *((3, i) for i in range(1, 6))]
     )
     def test_one_changed_coefficient_breaks_both(self, monkeypatch, which, i):
-        # Both the recurrence and the residual read the ODE itself, so a
-        # change to any one coefficient of A1, B1 or B2 shows in each.
+        # Both verify checks of the ODE run the recurrence read off it, so
+        # a change to any one coefficient of A1, B1 or B2 fails each.
         self._changed(monkeypatch, which, i)
         with pytest.raises(NonIntegralStep) as info:
             extend(INITIAL, 20)
         assert info.value.n <= 16
-        assert ode_residual(avoidance_series(30)).valuation() is not None
+        assert not verify.check_recurrence().ok and not verify.check_ode().ok
 
     def test_b2_at_zero_would_raise_the_order(self, monkeypatch):
         # A constant term in B2 puts s_{n+5} into row n + 3.
         self._changed(monkeypatch, 3, 0)
         with pytest.raises(ValueError, match="order 4"):
             extend(INITIAL, 20)
-        assert ode_residual(avoidance_series(30)).valuation() == 0
+        detail = "the ODE's rows are not a recurrence of order 4"
+        assert verify.check_ode() == verify.CheckResult("ode-residual", False, detail)
 
     def test_inhomogeneous_term_is_read_too(self, monkeypatch):
+        # A four-term seed skips rows 0 and 1, where A0 enters; s_0 alone does not.
         self._changed(monkeypatch, 0, 1)
-        assert ode_residual(avoidance_series(30)).coeffs[:2] == (0, 1)
         assert extend(INITIAL, 20) == avoidance_series(21).integer_coefficients()
+        assert not verify.check_ode().ok
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_from_s0_a_changed_inhomogeneous_term_fails_a_division(self, monkeypatch, i):
@@ -167,19 +167,3 @@ class TestThreeWayAgreement:
         )
         assert via_recurrence == via_solver == via_kernel
 
-
-class TestOdeResidual:
-    def test_vanishes_on_avoidance_series(self):
-        r = ode_residual(avoidance_series(30))
-        assert r.order == 28
-        assert r.valuation() is None
-
-    def test_constant_one(self):
-        r = ode_residual(ZSeries([1], 6, QQ))
-        assert r.coeffs[0] == -8
-        assert r.coeffs[1] == 16
-
-    def test_zero_series(self):
-        r = ode_residual(ZSeries([], 6, QQ))
-        assert r.coeffs[0] == -8
-        assert r.coeffs[1] == 31

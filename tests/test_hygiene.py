@@ -4,7 +4,8 @@ Every import in src/ and tests/ is used, and src/skewdyck has exactly the
 defaulted parameters listed in DEFAULTED, counting dataclass fields with a
 default as parameters of the generated __init__.  Every function, class
 and method in src/skewdyck is named somewhere in src/skewdyck or bench/,
-except the test-only names listed in TEST_ONLY.
+except the test-only names listed in TEST_ONLY.  `holonomic` imports
+nothing from the package.
 """
 
 import ast
@@ -110,3 +111,11 @@ def test_only_listed_definitions_lack_a_caller():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         uncalled.update(q for q, name in _definitions(tree, path.stem) if name not in referenced)
     assert uncalled == TEST_ONLY
+
+
+def test_holonomic_has_no_relative_import():
+    # The recurrence that serves `series` and `asympt` shares no code with
+    # the routes that `verify` checks it against.
+    tree = ast.parse((PACKAGE / "holonomic.py").read_text(encoding="utf-8"))
+    relative = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert not relative
