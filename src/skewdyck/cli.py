@@ -7,11 +7,12 @@ and bivariate print {"sequence": [...cell strings...], "variable":
 is a row, a list of strings); count {"count", "t_mode"}; verify a list
 of {"name", "ok", "detail"}; asympt a list of {"n", "exact" (a string),
 "estimate" (a float, or null past double range), "ratio"}.  Exit codes:
-0 success, 1 failed verification, 2 flag errors (every size has an
-upper cap below) and output that cannot be written (stdout closed, a
-full disk, a bad `render -o` path), with one stderr line.  A reader that
-closes the pipe early, as `skewdyck bivariate --order 200 | head -1`
-does, is no error: the command ends quietly with exit 0.
+0 success, 1 failed verification, a check that raised included (it
+prints as `FAIL dp-vs-oracle  (KeyError: 'X')`), 2 flag errors (every
+size has an upper cap below) and output that cannot be written (stdout
+closed, a full disk, a bad `render -o` path), with one stderr line.  A
+reader that closes the pipe early, as `skewdyck bivariate --order 200 |
+head -1` does, is no error: the command ends quietly with exit 0.
 
 The engine computes over Z and Z[t]; a rational --t-eval is applied
 only here, to the finished marker polynomials.  Each output cell is

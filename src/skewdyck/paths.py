@@ -1,4 +1,4 @@
-"""Skew path words: validity rules, brute-force enumeration, and an SVG
+"""Skew path words: validity rules, the brute-force oracle, and an SVG
 renderer.
 
 A path is its word, a plain str over three letters: U (up, +1), D
@@ -9,16 +9,15 @@ avoidance counts, tallied by the marker t otherwise.  `parse_word` is
 the one gate from typed text to a valid word (it also reads L as R), and
 `render_svg` draws a valid word.
 
-The enumerator here is the ground-truth oracle for every other module:
-it extends only valid prefixes and applies nothing but the local word
-rules, so it shares no machinery with the automaton or the generating
-functions it is used to check.
+The walk in `udr_profile` is the ground-truth oracle for every other
+module: it extends only valid prefixes and applies nothing but the local
+word rules, so it shares no machinery with the automaton or the
+generating functions it is used to check.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from itertools import accumulate
 
 from . import ORACLE_CAP
@@ -71,50 +70,6 @@ def validate(word: str) -> Violation | None:
     return None
 
 
-def _check_length(length: int) -> None:
-    if length > ORACLE_CAP:
-        raise CapExceeded(f"length {length} exceeds oracle cap {ORACLE_CAP}")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-
-
-def _valid_words(max_length: int) -> Iterator[tuple[str, int, int]]:
-    """Yield (word, end level, pattern count) for every valid word of at
-    most max_length steps, each word before its extensions and words of
-    one length in step order U < D < R (not Python's string order).
-
-    Only valid prefixes are extended, so the search covers the prefix
-    tree of valid words, not the full 3^length cube; every prefix of a
-    valid word is itself valid.
-    """
-    stack = [("", 0, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        item = pop()
-        yield item
-        word, level, udr = item
-        if len(word) == max_length:
-            continue
-        last = word[-1:]
-        # Pushed in reverse so that U is popped first.
-        if level:
-            if last != "U":
-                # R after U, D completes the pattern.
-                push((word + "R", level - 1, udr + word.endswith("UD")))
-            push((word + "D", level - 1, udr))
-        if last != "R":
-            push((word + "U", level + 1, udr))
-
-
-def enumerate_paths(length: int) -> Iterator[tuple[str, int, int]]:
-    """Yield (word, end level, pattern count) for every valid word of
-    exactly `length` steps, in step order U < D < R."""
-    _check_length(length)
-    for item in _valid_words(length):
-        if len(item[0]) == length:
-            yield item
-
-
 def udr_profile(max_length: int):
     """Brute-force pattern histograms for every length up to max_length.
 
@@ -125,12 +80,15 @@ def udr_profile(max_length: int):
 
     The walk tallies into flat lists, counts[m][level][j]: a word of
     length m ends at a level <= m and holds at most m // 3 disjoint
-    patterns, so every index is in range.  It is `_valid_words` with its
-    last step counted in place: a word one step short of max_length
-    tallies its valid one-step extensions, by the same three rules,
-    without building them.
+    patterns, so every index is in range.  The walk counts each word's
+    last step in place: a word one step short of max_length tallies its
+    valid one-step extensions, by the same three rules, without building
+    them.
     """
-    _check_length(max_length)
+    if max_length > ORACLE_CAP:
+        raise CapExceeded(f"length {max_length} exceeds oracle cap {ORACLE_CAP}")
+    if max_length < 0:
+        raise ValueError("length must be nonnegative")
     counts = [[[0] * (m // 3 + 1) for _ in range(m + 1)] for m in range(max_length + 1)]
     leaves, inner = counts[-1], max_length - 1
     stack = [("", 0, 0)]

@@ -1,7 +1,9 @@
 """Cross-verification suite: every computational route against every other.
 
-Each check compares two sources and returns a pass/fail record; the CLI
-`verify` subcommand runs them in this order:
+Each check compares two sources and states its name once, in its
+`_check` decorator, which registers it in CHECKS and makes its record;
+one that raises an Exception fails with the detail "<Type>: <message>",
+as in `FAIL dp-vs-oracle  (KeyError: 'X')`.  They run in this order:
 
     dp-vs-oracle          automaton vs brute-force walk (`paths`)
     kernel-residual       kernel root vs the cubic it was solved from: a
@@ -17,14 +19,15 @@ Each check compares two sources and returns a pass/fail record; the CLI
     boundary-identity     boundary constants vs level 0: one kernel root,
                           two formulas
     asymptotics           1/GROWTH vs bisection on the avoidance cubic;
-                          recurrence terms vs the estimate
+                          recurrence terms vs the estimate, and their
+                          Richardson limit vs AMPLITUDE to 1e-7
 
 `run_all` takes one of two paths, with the same results in the same
 order.  When the process can fork, no other thread is alive and it can
 pin a child to a CPU other than its own, a child process on that CPU
 runs a share of the checks while this process runs the rest; the child
 sends its results back through a pipe.  Otherwise, or when the child
-delivers no result, every check runs here, one after another.
+dies before it delivers them, every check runs here, one after another.
 
 The share depends on the oracle depth alone (`child_checks`), so a job
 runs the same checks in the same process every time.  From SPLIT_DEPTH
@@ -45,6 +48,7 @@ before the fork.
 
 from __future__ import annotations
 
+import functools
 import marshal
 import os
 import sys
@@ -56,6 +60,26 @@ from .rings import TPoly
 
 
 CheckResult = namedtuple("CheckResult", "name ok detail")
+CHECKS = []  # in run and print order, the order of the definitions below
+
+
+def _check(name: str):
+    """Register the decorated check in CHECKS as a function that returns
+    CheckResult(name, ok, detail) for the check's (ok, detail), and
+    (name, False, "<Type>: <message>") when it raises an Exception."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def check(*args) -> CheckResult:
+            try:
+                return CheckResult(name, *fn(*args))
+            except Exception as e:
+                return CheckResult(name, False, f"{type(e).__name__}: {e}")
+
+        CHECKS.append(check)
+        return check
+
+    return register
 
 
 def _first_difference(got: list, want: list, got_name: str, want_name: str) -> str:
@@ -75,64 +99,65 @@ def _residual(series, var: str) -> str:
     return "" if n is None else f"at {var}^{n}: residual {series.coeffs[n]}"
 
 
-def _histogram_poly(counter) -> TPoly:
-    return TPoly([counter.get(j, 0) for j in range(max(counter, default=-1) + 1)])
-
-
-def check_dp_vs_oracle(depth: int) -> CheckResult:
+@_check("dp-vs-oracle")
+def check_dp_vs_oracle(depth: int) -> tuple[bool, str]:
     """Automaton marker polynomials equal brute-force histograms for all
     lengths up to `depth` and all end levels, in one walk."""
     hist = paths.udr_profile(depth)
     for m, state in enumerate(automaton.walk(depth)):
         got = automaton.by_level(state)
         for k in sorted(got.keys() | hist[m].keys()):
-            dp, oracle = got.get(k, TPoly()), _histogram_poly(hist[m].get(k, {}))
+            tally = hist[m].get(k, {})
+            dp, oracle = got.get(k, TPoly()), TPoly([tally.get(j, 0) for j in range(max(tally, default=-1) + 1)])
             if dp != oracle:
-                return CheckResult(
-                    "dp-vs-oracle", False, f"mismatch at length {m} level {k}: automaton {dp} vs oracle {oracle}"
-                )
-    return CheckResult("dp-vs-oracle", True, f"all lengths <= {depth}")
+                return False, f"mismatch at length {m} level {k}: automaton {dp} vs oracle {oracle}"
+    return True, f"all lengths <= {depth}"
 
 
-def check_kernel_residual() -> CheckResult:
+@_check("kernel-residual")
+def check_kernel_residual() -> tuple[bool, str]:
     from . import kernel
 
     for mode in kernel.GFMode:
         residual = kernel.kernel_equation(mode).apply(kernel.kernel_root(64, mode))
         diff = _residual(residual, "z")
         if diff:
-            return CheckResult("kernel-residual", False, f"{mode.value} mode, {diff}")
-    return CheckResult("kernel-residual", True, f"both modes, mod z^{residual.order}")
+            return False, f"{mode.value} mode, {diff}"
+    return True, f"both modes, mod z^{residual.order}"
 
 
-def check_kernel_root_display() -> CheckResult:
+@_check("kernel-root-display")
+def check_kernel_root_display() -> tuple[bool, str]:
     from . import golden, kernel
 
     want = golden.utilde_display()
     got = kernel.kernel_root(len(want), kernel.GFMode.UNIVARIATE).integer_coefficients()
     diff = _first_difference(got, want, "kernel", "golden")
-    return CheckResult("kernel-root-display", not diff, diff)
+    return not diff, diff
 
 
-def check_series_vs_golden() -> CheckResult:
+@_check("series-vs-golden")
+def check_series_vs_golden() -> tuple[bool, str]:
     from . import cubics, golden
 
     want = golden.a128729_terms()
     got = cubics.avoidance_series(len(want)).integer_coefficients()
     diff = _first_difference(got, want, "solver", "golden")
-    return CheckResult("series-vs-golden", not diff, diff or f"{len(want)} terms")
+    return not diff, diff or f"{len(want)} terms"
 
 
-def check_bivariate_vs_golden() -> CheckResult:
+@_check("bivariate-vs-golden")
+def check_bivariate_vs_golden() -> tuple[bool, str]:
     from . import cubics, golden
 
     want = [TPoly(row) for row in golden.a128728_rows()]
     got = cubics.marker_series(len(want)).integer_coefficients()
     diff = _first_difference(got, want, "solver", "golden")
-    return CheckResult("bivariate-vs-golden", not diff, diff)
+    return not diff, diff
 
 
-def check_level_gfs() -> CheckResult:
+@_check("level-gf-vs-dp")
+def check_level_gfs() -> tuple[bool, str]:
     from . import kernel
 
     levels = range(7)
@@ -145,16 +170,15 @@ def check_level_gfs() -> CheckResult:
             want = by_level.get(k, TPoly())
             got = track[k].coeffs[m]
             if got != want:
-                return CheckResult("level-gf-vs-dp", False, f"k={k} m={m}: kernel {got} vs automaton {want}")
+                return False, f"k={k} m={m}: kernel {got} vs automaton {want}"
             got = forbid[k].coeffs[m]
             if got != want(0):
-                return CheckResult(
-                    "level-gf-vs-dp", False, f"forbid k={k} m={m}: kernel {got} vs automaton {want(0)}"
-                )
-    return CheckResult("level-gf-vs-dp", True, f"k <= {levels[-1]}, m <= {length}")
+                return False, f"forbid k={k} m={m}: kernel {got} vs automaton {want(0)}"
+    return True, f"k <= {levels[-1]}, m <= {length}"
 
 
-def check_half_length_collapse() -> CheckResult:
+@_check("half-length-collapse")
+def check_half_length_collapse() -> tuple[bool, str]:
     from . import cubics, kernel
 
     solvers = ((kernel.GFMode.UNIVARIATE, cubics.avoidance_series), (kernel.GFMode.BIVARIATE, cubics.marker_series))
@@ -162,45 +186,43 @@ def check_half_length_collapse() -> CheckResult:
         lvl0 = kernel.level_gf(0, 48, mode).compress_even()
         diff = _first_difference(lvl0.coeffs, solver(lvl0.order).coeffs, "kernel", "solver")
         if diff:
-            return CheckResult("half-length-collapse", False, f"{mode.value} mode, {diff}")
-    return CheckResult("half-length-collapse", True, f"both modes, {lvl0.order} half-length terms")
+            return False, f"{mode.value} mode, {diff}"
+    return True, f"both modes, {lvl0.order} half-length terms"
 
 
-def check_transformed_cubic() -> CheckResult:
+@_check("transformed-cubic")
+def check_transformed_cubic() -> tuple[bool, str]:
     from . import cubics, kernel
 
     lvl0 = kernel.level_gf(0, 60, kernel.GFMode.UNIVARIATE).compress_even()
     residual = cubics.avoidance_cubic().apply(lvl0)
     diff = _residual(residual, "Z")
-    return CheckResult("transformed-cubic", not diff, diff or f"residual mod Z^{residual.order}")
+    return not diff, diff or f"residual mod Z^{residual.order}"
 
 
-def check_recurrence() -> CheckResult:
+@_check("recurrence-vs-solver")
+def check_recurrence() -> tuple[bool, str]:
     from . import cubics, holonomic
 
-    try:
-        seq = holonomic.extend(holonomic.INITIAL, 200)
-    except (holonomic.NonIntegralStep, ValueError) as e:  # a mistranscribed ODE
-        return CheckResult("recurrence-vs-solver", False, str(e))
+    seq = holonomic.extend(holonomic.INITIAL, 200)
     solver = cubics.avoidance_series(len(seq)).integer_coefficients()
     diff = _first_difference(seq, solver, "recurrence", "solver")
-    return CheckResult("recurrence-vs-solver", not diff, diff or f"agreement to n={len(seq) - 1}")
+    return not diff, diff or f"agreement to n={len(seq) - 1}"
 
 
-def check_ode() -> CheckResult:
+@_check("ode-residual")
+def check_ode() -> tuple[bool, str]:
     from . import holonomic, kernel
 
     lvl0 = kernel.level_gf(0, 57, kernel.GFMode.UNIVARIATE).compress_even()
     # Row n of the ODE fixes s_{n+1}, so equal terms to s_m are a residual zero mod z^m.
-    try:
-        seq = holonomic.extend(holonomic.INITIAL, lvl0.order - 1)
-    except (holonomic.NonIntegralStep, ValueError) as e:
-        return CheckResult("ode-residual", False, str(e))
+    seq = holonomic.extend(holonomic.INITIAL, lvl0.order - 1)
     diff = _first_difference(seq, lvl0.coeffs, "recurrence", "kernel")
-    return CheckResult("ode-residual", not diff, diff or f"zero mod z^{lvl0.order - 1}")
+    return not diff, diff or f"zero mod z^{lvl0.order - 1}"
 
 
-def check_boundary_identity() -> CheckResult:
+@_check("boundary-identity")
+def check_boundary_identity() -> tuple[bool, str]:
     from . import kernel
 
     for mode in kernel.GFMode:
@@ -209,44 +231,30 @@ def check_boundary_identity() -> CheckResult:
         level0 = kernel.level_gf(0, constants.order, mode)
         diff = _first_difference(constants.coeffs, level0.coeffs, "constants", "level-0")
         if diff:
-            return CheckResult("boundary-identity", False, f"{mode.value} mode, {diff}")
-    return CheckResult("boundary-identity", True, f"both modes, mod z^{level0.order}")
+            return False, f"{mode.value} mode, {diff}"
+    return True, f"both modes, mod z^{level0.order}"
 
 
-def check_asymptotics() -> CheckResult:
+@_check("asymptotics")
+def check_asymptotics() -> tuple[bool, str]:
     from . import asymptotics, holonomic
 
     z0 = 1 / asymptotics.GROWTH
     numeric = asymptotics.dominant_singularity_numeric()
     if abs(numeric - z0) > 1e-12:
-        return CheckResult("asymptotics", False, f"numeric z0 {numeric!r} disagrees with 1/GROWTH {z0!r}")
-    try:
-        coeffs = holonomic.extend(holonomic.INITIAL, max(asymptotics.SAMPLE_NS))
-    except (holonomic.NonIntegralStep, ValueError) as e:
-        return CheckResult("asymptotics", False, str(e))
-    ratio_1000 = asymptotics.coefficient_ratio(1000, coeffs)
-    if not 0.99 <= ratio_1000 <= 1.01:
-        return CheckResult("asymptotics", False, f"ratio at n=1000 is {ratio_1000} outside [0.99, 1.01]")
-    devs = [abs(asymptotics.coefficient_ratio(n, coeffs) - 1.0) for n in asymptotics.SAMPLE_NS]
+        return False, f"numeric z0 {numeric!r} disagrees with 1/GROWTH {z0!r}"
+    coeffs = holonomic.extend(holonomic.INITIAL, max(asymptotics.SAMPLE_NS))
+    ratio = {n: asymptotics.coefficient_ratio(n, coeffs) for n in (1000, *asymptotics.SAMPLE_NS)}
+    if not 0.99 <= ratio[1000] <= 1.01:
+        return False, f"ratio at n=1000 is {ratio[1000]} outside [0.99, 1.01]"
+    devs = [abs(ratio[n] - 1.0) for n in asymptotics.SAMPLE_NS]
     if any(b >= a for a, b in zip(devs, devs[1:])):
-        return CheckResult("asymptotics", False, f"deviations not shrinking: {devs}")
-    return CheckResult("asymptotics", True, f"ratio(1000)={ratio_1000:.6f}")
-
-
-CHECKS = [
-    check_dp_vs_oracle,
-    check_kernel_residual,
-    check_kernel_root_display,
-    check_series_vs_golden,
-    check_bivariate_vs_golden,
-    check_level_gfs,
-    check_half_length_collapse,
-    check_transformed_cubic,
-    check_recurrence,
-    check_ode,
-    check_boundary_identity,
-    check_asymptotics,
-]
+        return False, f"deviations not shrinking: {devs}"
+    # ratio(n) = c (1 + a/n + b/n^2 + ...), c = the true amplitude / AMPLITUDE
+    limit = (8 * ratio[1600] - 6 * ratio[800] + ratio[400]) / 3
+    if abs(limit - 1.0) > 1e-7:
+        return False, f"Richardson limit of the ratios is {limit!r}, not 1 within 1e-7"
+    return True, f"ratio(1000)={ratio[1000]:.6f}"
 
 
 # The oracle depth from which the child runs the oracle alone: where the
@@ -299,7 +307,8 @@ def _fork_checks(checks, depth: int, cpus: set[int]) -> tuple[int, int] | None:
 
     The child leaves only through os._exit, so it never flushes the
     stdout it shares with this process, runs atexit handlers or returns
-    into the caller.  It exits 0 only once every result is written.
+    into the caller.  It exits 0 only once every result is written, a
+    failed record for each check that raised an Exception among them.
     """
     read_end, write_end = os.pipe()
     try:
@@ -327,9 +336,10 @@ def _fork_checks(checks, depth: int, cpus: set[int]) -> tuple[int, int] | None:
 
 def run_all(oracle_depth: int) -> list[CheckResult]:
     """Every check in CHECKS order; see the module docstring for the two
-    paths.  The child is always reaped, and killed first when a check
-    here raises.  When it delivers no result its whole share runs here,
-    so that its exception, if any, reaches the caller."""
+    paths.  A check that raises an Exception, on either side, is a FAIL
+    record.  The child is always reaped, and killed first when anything
+    else raises here.  Only a child that dies delivers no result, and
+    then its whole share runs here."""
     cpus = _other_cpus() if _can_fork() else set()
     if not cpus:
         return _run(CHECKS, oracle_depth)
@@ -345,7 +355,7 @@ def run_all(oracle_depth: int) -> list[CheckResult]:
     pid, read_end = child
     with open(read_end, "rb") as pipe:
         try:
-            ours = _run([fn for fn in CHECKS if fn not in split], oracle_depth)
+            ours = iter(_run([fn for fn in CHECKS if fn not in split], oracle_depth))
             data = pipe.read()
         except BaseException:
             import signal  # here, off the path every job takes
@@ -354,6 +364,5 @@ def run_all(oracle_depth: int) -> list[CheckResult]:
             raise
         finally:
             _, status = os.waitpid(pid, 0)
-    got = [CheckResult(*r) for r in marshal.loads(data)] if status == 0 else _run(theirs, oracle_depth)
-    got, ours = iter(got), iter(ours)
+    got = iter([CheckResult(*r) for r in marshal.loads(data)] if status == 0 else _run(theirs, oracle_depth))
     return [next(got) if fn in split else next(ours) for fn in CHECKS]

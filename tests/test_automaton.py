@@ -1,8 +1,8 @@
 import pytest
+from conftest import enumerate_paths
 
 from skewdyck import automaton
 from skewdyck.automaton import count, run, step, walk
-from skewdyck.paths import enumerate_paths
 from skewdyck.rings import TPoly
 
 

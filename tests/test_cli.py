@@ -9,7 +9,7 @@ import pytest
 from conftest import SRC_ENV
 from hypothesis import given, settings, strategies as st
 
-from skewdyck import asymptotics, automaton, cubics, golden, holonomic, kernel, paths, verify
+from skewdyck import asymptotics, automaton, cubics, golden, holonomic, kernel, paths, series, verify
 from skewdyck.cli import (
     ASYMPT_CAP,
     ASYMPT_NS_CAP,
@@ -25,7 +25,7 @@ from skewdyck.cli import (
 )
 from skewdyck.paths import ORACLE_CAP
 from skewdyck.rings import QT, T, TPoly
-from skewdyck.series import ZSeries
+from skewdyck.series import AlgEquation, ZSeries
 
 
 @pytest.fixture
@@ -147,6 +147,66 @@ class TestLevels:
         assert json.loads(half_json)["sequence"] == json.loads(full_json)["sequence"][0::2]
 
 
+def _mutated(build, i, j, value):
+    """`build` with the z^j coefficient of its S^i polynomial set to `value`."""
+
+    def mutant(*args):
+        eq = build(*args)
+        polys = [list(p) for p in eq.coeff_polys]
+        polys[i] += [0] * (j + 1 - len(polys[i]))
+        polys[i][j] = value
+        return AlgEquation(polys, eq.ring)
+
+    return mutant
+
+
+# EDGES["K"] with its first edge pointing at an unknown layer.
+MUTANT_K_EDGES = (("X", -1, False), automaton.EDGES["K"][1])
+
+# One-literal mutants of the kernel cubic, the marker cubic and the
+# automaton's edge table, each with the FAIL lines verify prints for it.
+MUTANTS = {
+    "marker-cubic-constant": (
+        lambda m: m.setattr(cubics, "marker_cubic", _mutated(cubics.marker_cubic, 0, 0, -2)),
+        [
+            "FAIL series-vs-golden  (NotARoot: P(0, 1) = -1 != 0)",
+            "FAIL bivariate-vs-golden  (NotARoot: P(0, TPoly([1])) = TPoly([-1]) != 0)",
+            "FAIL half-length-collapse  (NotARoot: P(0, 1) = -1 != 0)",
+            "FAIL transformed-cubic  (at Z^0: residual -1)",
+            "FAIL recurrence-vs-solver  (NotARoot: P(0, 1) = -1 != 0)",
+            "FAIL asymptotics  (ValueError: no sign change on the bisection bracket)",
+        ],
+    ),
+    "kernel-cubic-leading": (
+        lambda m: m.setattr(kernel, "kernel_equation", _mutated(kernel.kernel_equation, 3, 0, 2)),
+        [
+            "FAIL kernel-residual  (NotARoot: P(0, 1) = 1 != 0)",
+            "FAIL kernel-root-display  (NotARoot: P(0, 1) = 1 != 0)",
+            "FAIL level-gf-vs-dp  (NotARoot: P(0, TPoly([1])) = TPoly([1]) != 0)",
+            "FAIL half-length-collapse  (NotARoot: P(0, 1) = 1 != 0)",
+            "FAIL transformed-cubic  (NotARoot: P(0, 1) = 1 != 0)",
+            "FAIL ode-residual  (NotARoot: P(0, 1) = 1 != 0)",
+            "FAIL boundary-identity  (NotARoot: P(0, 1) = 1 != 0)",
+        ],
+    ),
+    "kernel-cubic-plus-z3-u2": (
+        lambda m: m.setattr(kernel, "kernel_equation", _mutated(kernel.kernel_equation, 2, 3, 1)),
+        [
+            "FAIL kernel-root-display  (at n=3: kernel -1 vs golden 0)",
+            "FAIL level-gf-vs-dp  (k=0 m=1: kernel [1] vs automaton [0])",
+            "FAIL half-length-collapse  (SeriesError: odd coefficient z^1 is nonzero)",
+            "FAIL transformed-cubic  (SeriesError: odd coefficient z^1 is nonzero)",
+            "FAIL ode-residual  (SeriesError: odd coefficient z^1 is nonzero)",
+            "FAIL boundary-identity  (univariate mode, at n=1: constants 0 vs level-0 1)",
+        ],
+    ),
+    "edges-unknown-layer": (
+        lambda m: m.setitem(automaton.EDGES, "K", MUTANT_K_EDGES),
+        ["FAIL dp-vs-oracle  (KeyError: 'X')", "FAIL level-gf-vs-dp  (KeyError: 'X')"],
+    ),
+}
+
+
 class TestVerify:
     def test_passes_on_unmodified_build(self, capout):
         code, out, err = capout("verify", "--order", "10")
@@ -240,7 +300,7 @@ class TestVerify:
         code, out, err = capout("verify", "--order", "8")
         assert code == 1
         assert forks == ([1] if path == "forked" else [])
-        step = "(recurrence step at n=-2 is not integral (remainder 23))"
+        step = "(NonIntegralStep: recurrence step at n=-2 is not integral (remainder 23))"
         lines = out.splitlines()
         assert [lines[i] for i in (8, 9, 11)] == [
             f"FAIL recurrence-vs-solver  {step}",
@@ -250,6 +310,38 @@ class TestVerify:
         assert len(lines) == 12
         assert all(line.startswith("PASS") for i, line in enumerate(lines) if i not in (8, 9, 11))
         assert err == "3 check(s) failed\n"
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_that_raises_prints_fail_lines(self, capout, monkeypatch, mutant):
+        """Each mutant makes a check raise: both paths print the same FAIL
+        lines, exit 1 and write only the count to stderr."""
+        mutate, want = MUTANTS[mutant]
+        mutate(monkeypatch)
+        runs = []
+        for cpus in (lambda: os.sched_getaffinity(0), set):
+            monkeypatch.setattr(verify, "_other_cpus", cpus)
+            series._ROOTS.clear()
+            runs.append(capout("verify", "--order", "8"))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS")] == want
+        assert len(out.splitlines()) == 12
+        assert err == f"{len(want)} check(s) failed\n"
+
+    def test_mutant_through_main_prints_no_traceback(self):
+        # The oracle steps from the unknown layer only from length 6 on.
+        code = (
+            "import sys\n"
+            "from skewdyck import automaton, cli\n"
+            f"automaton.EDGES['K'] = {MUTANT_K_EDGES!r}\n"
+            "sys.argv = ['skewdyck', 'verify', '--order', '8']\n"
+            "cli.main()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[0] == "FAIL dp-vs-oracle  (KeyError: 'X')"
+        assert proc.stderr == "2 check(s) failed\n"
 
     @staticmethod
     def _only_failure(capout, line_no, line):
@@ -359,6 +451,20 @@ class TestVerify:
         ratio = asymptotics.coefficient_ratio(1000, holonomic.extend(holonomic.INITIAL, 1000))
         assert 0.978 < ratio < 0.98
         self._only_failure(capout, 11, f"FAIL asymptotics  (ratio at n=1000 is {ratio} outside [0.99, 1.01])")
+
+    @pytest.mark.parametrize("factor", [1.005, 1 + 1e-6])
+    def test_amplitude_inside_the_window_fails_the_richardson_limit(self, capout, monkeypatch, factor):
+        # Both factors keep ratio(1000) in its window and the deviations
+        # shrinking; the limit of the ratios is 1 / factor.
+        monkeypatch.setattr(asymptotics, "AMPLITUDE", asymptotics.AMPLITUDE * factor)
+        code, out, err = capout("verify", "--order", "8")
+        assert code == 1
+        lines = out.splitlines()
+        prefix, suffix = "FAIL asymptotics  (Richardson limit of the ratios is ", ", not 1 within 1e-7)"
+        assert lines[11].startswith(prefix) and lines[11].endswith(suffix)
+        assert float(lines[11][len(prefix) : -len(suffix)]) * factor == pytest.approx(1, abs=1e-8)
+        assert all(line.startswith("PASS") for line in lines[:11])
+        assert err == "1 check(s) failed\n"
 
     def test_growing_deviations_fail(self, capout, monkeypatch):
         monkeypatch.setattr(asymptotics, "SAMPLE_NS", asymptotics.SAMPLE_NS[::-1])

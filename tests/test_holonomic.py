@@ -135,7 +135,7 @@ class TestReadOffTheOde:
         self._changed(monkeypatch, 3, 0)
         with pytest.raises(ValueError, match="order 4"):
             extend(INITIAL, 20)
-        detail = "the ODE's rows are not a recurrence of order 4"
+        detail = "ValueError: the ODE's rows are not a recurrence of order 4"
         assert verify.check_ode() == verify.CheckResult("ode-residual", False, detail)
 
     def test_inhomogeneous_term_is_read_too(self, monkeypatch):

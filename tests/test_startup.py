@@ -35,7 +35,6 @@ PUBLIC = {
     "avoidance_series": "cubics",
     "boundary_constants": "kernel",
     "count": "automaton",
-    "enumerate_paths": "paths",
     "kernel_root": "kernel",
     "level_gf": "kernel",
     "marker_series": "cubics",

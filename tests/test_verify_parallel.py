@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import SRC_ENV
+from conftest import SRC_ENV, valid_words
 
 from skewdyck import paths, verify
 from skewdyck.paths import udr_profile
@@ -62,6 +62,24 @@ def test_fork_and_serial_paths_agree(depth, forks, monkeypatch):
     _no_child_left()
 
 
+def test_checks_keep_their_order_and_function_names():
+    # bench/tracer.py names its verify.* metrics after the functions.
+    assert [fn.__name__ for fn in verify.CHECKS] == [
+        "check_dp_vs_oracle",
+        "check_kernel_residual",
+        "check_kernel_root_display",
+        "check_series_vs_golden",
+        "check_bivariate_vs_golden",
+        "check_level_gfs",
+        "check_half_length_collapse",
+        "check_transformed_cubic",
+        "check_recurrence",
+        "check_ode",
+        "check_boundary_identity",
+        "check_asymptotics",
+    ]
+
+
 def test_no_other_cpu_keeps_the_serial_path(forks, monkeypatch):
     monkeypatch.setattr(verify, "_other_cpus", set)
     results = verify.run_all(8)
@@ -99,12 +117,16 @@ def test_live_thread_keeps_the_serial_path(forks, pinnable):
 
 
 def test_exception_in_the_child_reaches_the_caller(forks, pinnable, monkeypatch):
+    """As its check's FAIL record, which the child sends back."""
+    parent = os.getpid()
+
     def broken(max_length):
-        raise KeyError("walk")
+        raise KeyError("walk" if os.getpid() == parent else "child walk")
 
     monkeypatch.setattr(paths, "udr_profile", broken)
-    with pytest.raises(KeyError, match="walk"):
-        verify.run_all(8)
+    results = verify.run_all(8)
+    assert results[0] == verify.CheckResult("dp-vs-oracle", False, "KeyError: 'child walk'")
+    assert all(r.ok for r in results[1:])
     assert forks == [1]
     _no_child_left()
 
@@ -128,6 +150,25 @@ def test_exception_in_the_parent_kills_and_reaps_the_child(forks, pinnable, monk
     monkeypatch.setattr(verify, "CHECKS", [*verify.CHECKS[:-1], broken])
     start = time.perf_counter()
     with pytest.raises(ValueError, match="parent"):
+        verify.run_all(8)
+    assert time.perf_counter() - start < 30
+    assert forks == [1]
+    _no_child_left()
+
+
+def test_interrupt_in_a_check_here_kills_and_reaps_the_child(forks, pinnable, monkeypatch):
+    """A registered check turns an Exception into its FAIL record, but a
+    KeyboardInterrupt passes through it to the caller."""
+    monkeypatch.setattr(paths, "udr_profile", lambda m: time.sleep(60))
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:-1])
+
+    @verify._check("interrupted")
+    def interrupted():
+        raise KeyboardInterrupt
+
+    assert verify.CHECKS[-1] is interrupted
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
         verify.run_all(8)
     assert time.perf_counter() - start < 30
     assert forks == [1]
@@ -197,7 +238,7 @@ def test_no_module_loads_in_both_processes(below):
 def _dict_tally(max_length):
     """udr_profile's tally before it counted into flat lists."""
     hist = [dict() for _ in range(max_length + 1)]
-    for word, level, udr in paths._valid_words(max_length):
+    for word, level, udr in valid_words(max_length):
         counter = hist[len(word)].setdefault(level, {})
         counter[udr] = counter.get(udr, 0) + 1
     return hist
@@ -277,7 +318,9 @@ def _raise_key_error():
     raise KeyError("child")
 
 
-@pytest.mark.parametrize("in_child", [lambda: os._exit(3), _raise_key_error], ids=["dies", "raises"])
+# A check's Exception is its FAIL record; only a child that dies, or
+# leaves through a BaseException such as SystemExit, sends no result.
+@pytest.mark.parametrize("in_child", [lambda: os._exit(3), lambda: sys.exit(3)], ids=["dies", "raises"])
 def test_child_failing_a_non_oracle_check_leaves_its_share_here(in_child, forks, pinnable, monkeypatch):
     from skewdyck import holonomic
 
@@ -295,13 +338,16 @@ def test_child_failing_a_non_oracle_check_leaves_its_share_here(in_child, forks,
 
 
 def test_exception_in_a_non_oracle_check_reaches_the_caller(forks, pinnable, monkeypatch):
+    """As the FAIL records of the child's two checks that extend the
+    recurrence, which this process does not run again."""
     from skewdyck import holonomic
 
-    def broken(initial, n):
-        raise KeyError("recurrence")
-
-    monkeypatch.setattr(holonomic, "extend", broken)
-    with pytest.raises(KeyError, match="recurrence"):
-        verify.run_all(8)
+    walks = _parent_calls(monkeypatch, paths, "udr_profile", lambda: None)
+    extends = _parent_calls(monkeypatch, holonomic, "extend", _raise_key_error)
+    results = verify.run_all(8)
+    failed = {r.name: r.detail for r in results if not r.ok}
+    assert failed == {"recurrence-vs-solver": "KeyError: 'child'", "asymptotics": "KeyError: 'child'"}
+    # Only ode-residual, which always runs here, extended it here.
+    assert walks == [] and extends == [1]
     assert forks == [1]
     _no_child_left()
